@@ -82,7 +82,7 @@ bench-smoke:
 
 # Benchmark-regression gate: run the streaming/heap benchmarks and
 # compare against the checked-in baseline (BENCH_baseline.json) with
-# cmd/benchguard (allocs may grow ≤25%, ns ≤3x). When benchstat is
+# cmd/benchguard (allocs and B/op may grow ≤25%, ns ≤3x). When benchstat is
 # installed (CI installs it), a human-readable delta is printed too.
 # Keep the -bench pattern and -benchtime in sync with bench-baseline —
 # allocs/op amortisation depends on the iteration count.

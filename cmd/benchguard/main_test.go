@@ -109,3 +109,59 @@ func TestReadInput(t *testing.T) {
 		t.Errorf("BenchmarkDAGWhatIf NsPerOp = %v, want 362941", whatIf.NsPerOp)
 	}
 }
+
+func TestGate(t *testing.T) {
+	base := Baseline{Benchmarks: map[string]Entry{
+		"BenchmarkDAGCount":       {NsPerOp: 1000, BytesPerOp: 150000, AllocsPerOp: 40},
+		"BenchmarkNoBenchmem":     {NsPerOp: 1000},
+		"BenchmarkGoneMissing":    {NsPerOp: 1000, BytesPerOp: 100, AllocsPerOp: 1},
+		"BenchmarkSmallFootprint": {NsPerOp: 1000, BytesPerOp: 1024, AllocsPerOp: 1},
+	}}
+	lim := limits{ns: 3, allocs: 1.25, bytes: 1.25}
+	// Caps for DAGCount: allocs 40*1.25+2 = 52, bytes 150000*1.25+16384 = 203884.
+	cases := []struct {
+		name     string
+		got      Entry
+		failures int
+		want     string // substring of the DAGCount report line
+	}{
+		{"at baseline", Entry{NsPerOp: 1000, BytesPerOp: 150000, AllocsPerOp: 40}, 0, "ok   BenchmarkDAGCount"},
+		{"bytes at cap", Entry{NsPerOp: 1000, BytesPerOp: 203884, AllocsPerOp: 40}, 0, "ok   BenchmarkDAGCount"},
+		{"bytes over cap", Entry{NsPerOp: 1000, BytesPerOp: 203885, AllocsPerOp: 40}, 1, "203885 B/op exceeds cap 203884"},
+		{"fixed 1 MiB chunk returns", Entry{NsPerOp: 1000, BytesPerOp: 1306296, AllocsPerOp: 42}, 1, "B/op exceeds cap"},
+		{"allocs at cap", Entry{NsPerOp: 1000, BytesPerOp: 150000, AllocsPerOp: 52}, 0, "ok   BenchmarkDAGCount"},
+		{"allocs over cap", Entry{NsPerOp: 1000, BytesPerOp: 150000, AllocsPerOp: 53}, 1, "53 allocs/op exceeds cap 52"},
+		{"ns over cap", Entry{NsPerOp: 3001, BytesPerOp: 150000, AllocsPerOp: 40}, 1, "ns/op exceeds 3.0x"},
+		{"every gate over", Entry{NsPerOp: 9000, BytesPerOp: 900000, AllocsPerOp: 90}, 3, "FAIL BenchmarkDAGCount"},
+		{"improvement", Entry{NsPerOp: 10, BytesPerOp: 1, AllocsPerOp: 1}, 0, "ok   BenchmarkDAGCount"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			current := map[string]Entry{
+				"BenchmarkDAGCount": tc.got,
+				// Recorded without -benchmem: bytes are not gated.
+				"BenchmarkNoBenchmem": {NsPerOp: 1000, BytesPerOp: 1 << 30, AllocsPerOp: 1},
+				// Small counts get the absolute slack.
+				"BenchmarkSmallFootprint": {NsPerOp: 1000, BytesPerOp: 1024 + 16<<10, AllocsPerOp: 3},
+				"BenchmarkNew":            {NsPerOp: 1},
+			}
+			lines, failures := gate(base, current, lim)
+			// BenchmarkGoneMissing always fails: it is absent from the run.
+			if failures != tc.failures+1 {
+				t.Errorf("failures = %d, want %d\n%s", failures, tc.failures+1, strings.Join(lines, "\n"))
+			}
+			report := strings.Join(lines, "\n")
+			for _, want := range []string{
+				tc.want,
+				"FAIL BenchmarkGoneMissing: present in baseline but missing",
+				"ok   BenchmarkNoBenchmem",
+				"ok   BenchmarkSmallFootprint",
+				"note BenchmarkNew: not in baseline",
+			} {
+				if !strings.Contains(report, want) {
+					t.Errorf("report lacks %q:\n%s", want, report)
+				}
+			}
+		})
+	}
+}

@@ -579,13 +579,14 @@ func (s *Server) handleCourse(t *tenantState, w http.ResponseWriter, r *http.Req
 }
 
 func (s *Server) handleOptions(t *tenantState, w http.ResponseWriter, r *http.Request) {
-	termLabel := r.URL.Query().Get("term")
+	q := r.URL.Query()
+	termLabel := q.Get("term")
 	if termLabel == "" {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "missing ?term=")
 		return
 	}
 	var completed []string
-	if raw := r.URL.Query().Get("completed"); raw != "" {
+	if raw := q.Get("completed"); raw != "" {
 		for _, c := range strings.Split(raw, ",") {
 			completed = append(completed, strings.TrimSpace(c))
 		}

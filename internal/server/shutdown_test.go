@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,7 +29,16 @@ func TestShutdownUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: s}
+	// active counts requests the server has started reading. The drain
+	// starts only once every burst request has reached the server: a
+	// request still dialing when the listener closes is refused, which
+	// is correct shutdown behaviour but not an in-flight request.
+	var active atomic.Int32
+	hs := &http.Server{Handler: s, ConnState: func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			active.Add(1)
+		}
+	}}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- hs.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
@@ -67,11 +77,10 @@ func TestShutdownUnderLoad(t *testing.T) {
 			results <- reply{status: resp.StatusCode, body: string(body), stream: stream}
 		}(stream)
 	}
-	// Let the burst reach the server before the drain starts.
+	// Let the whole burst reach the server before the drain starts.
 	waitFor(t, 2*time.Second, func() bool {
-		snap := s.adm().Snapshot()
-		return snap.InFlight > 0 || snap.Waiters > 0
-	}, "the burst to be in flight")
+		return active.Load() >= burst
+	}, "the whole burst to be in flight")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

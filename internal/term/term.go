@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Season is the portion of the academic year a term occupies.
@@ -249,8 +250,7 @@ func Parse(c *Calendar, s string) (Term, error) {
 // tolerating separators ("Fall 2011", "Fall'11", "fall-2011") and the
 // compact form "fall11".
 func splitTermLabel(s string) []string {
-	s = strings.NewReplacer("'", " ", "’", " ", "-", " ", "_", " ", ",", " ").Replace(s)
-	fields := strings.Fields(s)
+	fields := strings.FieldsFunc(s, isTermSeparator)
 	if len(fields) == 1 {
 		// Compact form: letters immediately followed by digits.
 		w := fields[0]
@@ -263,6 +263,16 @@ func splitTermLabel(s string) []string {
 		}
 	}
 	return fields
+}
+
+// isTermSeparator reports whether r separates a term label's parts:
+// white space or one of ' ’ - _ ,.
+func isTermSeparator(r rune) bool {
+	switch r {
+	case '\'', '’', '-', '_', ',':
+		return true
+	}
+	return unicode.IsSpace(r)
 }
 
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }

@@ -1,6 +1,9 @@
 package term
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -257,5 +260,63 @@ func TestRange(t *testing.T) {
 func TestTermCalendarAccessor(t *testing.T) {
 	if got := TwoSeason.MustTerm(2012, Fall).Calendar(); got != TwoSeason {
 		t.Error("Calendar accessor wrong")
+	}
+}
+
+// replacerSplit is the previous splitTermLabel front end: every
+// separator rewritten to a space, then strings.Fields.
+func replacerSplit(s string) []string {
+	return strings.Fields(strings.NewReplacer("'", " ", "’", " ", "-", " ", "_", " ", ",", " ").Replace(s))
+}
+
+func TestSplitTermLabel(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []string
+	}{
+		{"Fall 2011", []string{"Fall", "2011"}},
+		{"Fall'11", []string{"Fall", "11"}},
+		{"Fall’11", []string{"Fall", "11"}},
+		{"Fall '11", []string{"Fall", "11"}},
+		{"fall-2011", []string{"fall", "2011"}},
+		{"Fall_2011", []string{"Fall", "2011"}},
+		{"Fall, 2011", []string{"Fall", "2011"}},
+		{"2011 Fall", []string{"2011", "Fall"}},
+		{"fall11", []string{"fall", "11"}},
+		{"FA2011", []string{"FA", "2011"}},
+		{"  Fall\t2011\n", []string{"Fall", "2011"}},
+		{"\u00a0Fall\u2003'11 ", []string{"Fall", "11"}}, // Unicode spaces
+		{"Fall--,,2011", []string{"Fall", "2011"}},
+		{"Fall 2011 extra", []string{"Fall", "2011", "extra"}},
+		{"Fall", []string{"Fall"}},
+		{"2011", []string{"2011"}},
+		{"", nil},
+		{"   ", nil},
+		{"'-_,’", nil},
+	}
+	for _, tc := range cases {
+		got := splitTermLabel(tc.in)
+		if !reflect.DeepEqual(got, tc.want) && !(len(got) == 0 && len(tc.want) == 0) {
+			t.Errorf("splitTermLabel(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestTermSeparatorsMatchReplacer checks the separator predicate against
+// the replacer it superseded on random labels drawn from letters, digits,
+// every separator, Unicode spaces and invalid UTF-8.
+func TestTermSeparatorsMatchReplacer(t *testing.T) {
+	alphabet := []string{"F", "a", "l", "1", "0", "'", "’", "-", "_", ",", " ", "\t", "\u00a0", "\u3000", "\u2028", "\u0085", "\xe2", "\x80", "\x99", "é"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(10); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		s := b.String()
+		got, want := strings.FieldsFunc(s, isTermSeparator), replacerSplit(s)
+		if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+			t.Fatalf("%q: FieldsFunc split %q, replacer split %q", s, got, want)
+		}
 	}
 }
