@@ -6,7 +6,7 @@
 GO ?= go
 
 .PHONY: check vet lint build test race race-short bench bench-smoke fuzz-short \
-	bench-regress bench-baseline routes-guard chaos-short cohort-short
+	bench-regress bench-baseline routes-guard chaos-short cohort-short loc
 
 check: lint build routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
 
@@ -99,6 +99,20 @@ bench-regress:
 	else \
 		echo "bench-regress: benchstat not installed, delta report skipped (gate enforced by benchguard)"; \
 	fi
+
+# Go line counts per package, non-test (GoFiles) and test (TestGoFiles +
+# XTestGoFiles) as go list reports them, with a total row — the
+# reproducible source of the line deltas CHANGES.md records.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}|{{join .GoFiles " "}}|{{join .TestGoFiles " "}} {{join .XTestGoFiles " "}}' ./... | \
+	while IFS='|' read -r head src tests; do \
+		set -- $$head; n=0; m=0; \
+		for f in $$src; do n=$$((n + $$(wc -l < "$$2/$$f"))); done; \
+		for f in $$tests; do m=$$((m + $$(wc -l < "$$2/$$f"))); done; \
+		echo "$$1 $$n $$m"; \
+	done | awk '{ printf "%-36s %8d %8d\n", $$1, $$2, $$3; n += $$2; m += $$3 } \
+		BEGIN { printf "%-36s %8s %8s\n", "package", "non-test", "test" } \
+		END { printf "%-36s %8d %8d\n", "total", n, m }'
 
 # Rewrite BENCH_baseline.json from a fresh run on this machine.
 bench-baseline:

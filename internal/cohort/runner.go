@@ -78,6 +78,12 @@ type Planner interface {
 	// deadline in [end, end+horizon] as ONE unit of work (the engine's
 	// multi-deadline query) — the delay probe's single sub-exploration.
 	CountHorizons(ctx context.Context, m Member, end string, horizon int, v Variant) (HorizonCounts, error)
+	Replanner
+}
+
+// Replanner executes a Planner's what-if units alone — all a
+// SharedPlanner delegates, since its counting runs on the substrate.
+type Replanner interface {
 	// Replan scores the member's next-semester selections against the
 	// scenario catalog (the interactive what-if question, batch form).
 	Replan(ctx context.Context, m Member, end string) (Replan, error)

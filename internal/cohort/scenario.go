@@ -71,8 +71,8 @@ type Scenario struct {
 const DefaultHistoryYears = 3
 
 // Empty reports whether the scenario leaves the catalog unchanged
-// (sampling aside): an empty scenario's units can share cache entries
-// with ordinary interactive traffic.
+// (sampling aside): an empty scenario's replan units can share cache
+// entries with ordinary interactive what-if traffic.
 func (sc *Scenario) Empty() bool {
 	return len(sc.Cancel) == 0 && len(sc.Add) == 0
 }

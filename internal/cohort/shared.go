@@ -25,7 +25,7 @@ import (
 // The planner is safe for concurrent use.
 type SharedPlanner struct {
 	// Inner handles Replan units; counting always runs on the substrate.
-	Inner Planner
+	Inner Replanner
 	// Base, Scenario and Samples are the catalog variants (same contract
 	// as NavPlanner).
 	Base     *coursenav.Navigator

@@ -12,20 +12,17 @@
 // Retry-After computed from live queue state.
 //
 // The controller's health state drives the brownout ladder (cache.go
-// serves stale entries and clamps budgets when degraded); /api/v1/healthz
-// and /api/v1/stats surface it.
+// serves stale entries, query and unitCtx clamp budgets when degraded);
+// /api/v1/healthz and /api/v1/stats surface it.
 package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/resultcache"
 	"repro/internal/term"
 )
 
@@ -96,18 +93,6 @@ func costHint(req *ExploreRequest) admission.Hint {
 	return h
 }
 
-// costKey is the generation-independent digest observed run times are
-// recorded under: the same canonical blob as the result-cache key, with
-// the tenant folded in (partitions keep cache keys tenant-local; the
-// estimator is one map, so the key must carry the tenant itself).
-func costKey(tenantID, endpoint string, req *ExploreRequest) ([sha256.Size]byte, bool) {
-	blob, err := json.Marshal(req)
-	if err != nil {
-		return [sha256.Size]byte{}, false
-	}
-	return resultcache.KeyFor(0, tenantID+"|"+endpoint, blob).Hash, true
-}
-
 // admitResult carries one admission decision to the caller, which
 // decides how to answer a shed (plain error, or stale fallback first).
 type admitResult struct {
@@ -123,26 +108,31 @@ type admitResult struct {
 }
 
 // admit prices the request and takes both admission levels: the
-// tenant's instant-shed quota, then the global cost-aware queue. On
-// admission the release func returns both slots and records the run's
-// wall time under the request's cost key. Nothing is written on a shed
-// — the caller answers (writeShed, a stale fallback, or a per-member
-// error record in a cohort run). It takes a context, not an
-// *http.Request: cohort units admit one sub-exploration at a time under
-// the job's context, through exactly this gate.
-func (s *Server) admit(t *tenantState, ctx context.Context, req *ExploreRequest, endpoint string) (admitResult, bool) {
+// tenant's instant-shed quota, then the global cost-aware queue — or,
+// with queue false (brownout revalidation), a global slot only when one
+// is free, with no shed counted. On admission the release func returns
+// both slots and records the run's wall time under the request's cost
+// key. Nothing is written on a shed — the caller answers (writeShed, a
+// stale fallback, or a per-member error record in a cohort run).
+func (s *Server) admit(ctx context.Context, t *tenantState, k unitKey, req *ExploreRequest, queue bool) (admitResult, bool) {
 	relQuota, ok := t.acquireQuota()
 	if !ok {
 		return admitResult{tenantShed: true}, false
 	}
-	key, keyed := costKey(t.id, endpoint, req)
+	key, keyed := k.costKey(t.id)
 	hint := costHint(req)
 	est, _ := s.Estimator.Estimate(key, hint)
 	if !keyed {
 		est = admission.SeedCost(hint)
 	}
 	wasDegraded := s.degradedNow()
-	release, outcome := s.adm().Acquire(ctx, est)
+	var release func()
+	outcome := admission.ShedQueueFull
+	if queue {
+		release, outcome = s.adm().Acquire(ctx, est)
+	} else if rel, ok := s.adm().TryAcquire(); ok {
+		release, outcome = rel, admission.Admitted
+	}
 	if outcome.Shed() {
 		relQuota()
 		return admitResult{outcome: outcome, degraded: wasDegraded, retryAfter: s.adm().RetryAfter()}, false
@@ -163,11 +153,8 @@ func (s *Server) admit(t *tenantState, ctx context.Context, req *ExploreRequest,
 // annotateAdmission records a non-trivial admission disposition on the
 // usage event (instant admits stay unannotated).
 func annotateAdmission(w http.ResponseWriter, outcome admission.Outcome) {
-	if outcome == admission.Admitted {
-		return
-	}
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.admission = outcome.String()
+	if outcome != admission.Admitted {
+		recorder(w).admission = outcome.String()
 	}
 }
 
@@ -213,8 +200,8 @@ func (s *Server) writeShed(t *tenantState, w http.ResponseWriter, res admitResul
 // admitExplore is the writing form of admit, for call sites with no
 // stale fallback (the streaming branches): it answers the shed itself
 // and returns ok=false.
-func (s *Server) admitExplore(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string) (release func(), ok bool) {
-	res, ok := s.admit(t, r.Context(), req, endpoint)
+func (s *Server) admitExplore(t *tenantState, w http.ResponseWriter, r *http.Request, k unitKey, req *ExploreRequest) (release func(), ok bool) {
+	res, ok := s.admit(r.Context(), t, k, req, true)
 	if !ok {
 		s.writeShed(t, w, res)
 		return nil, false

@@ -1,4 +1,4 @@
-// Result caching for the explore endpoints.
+// Result caching and the HTTP shell of the serving pipeline.
 //
 // The interactive workload the paper targets (§5: a student tweaks one knob
 // and re-explores) is dominated by repeated, semantically identical
@@ -6,17 +6,21 @@
 // non-streaming explore response is therefore cached under
 // (catalog snapshot generation, canonicalized request, endpoint) and
 // replayed byte-for-byte on a hit; concurrent identical misses coalesce
-// into one exploration via the cache's flight mechanism. Streaming
-// requests bypass the cache on the read side but populate it when the run
-// completes cleanly and the rendered result fits the per-entry cap — see
-// the stream branches of the explore handlers.
+// into one exploration via the cache's flight mechanism. Misses run
+// through runUnit (unit.go), the one pipeline cohort units use too;
+// serveUnit here is only its HTTP shell: hit replay, brownout stale
+// serving, and the shed and error envelopes. Streaming requests bypass
+// the cache on the read side but populate it when the run completes
+// cleanly and the rendered result fits the per-entry cap — see the
+// stream branches of the explore handlers, which render through the
+// same entry builders (exploreRun, jsonRun).
 //
-// Cache hits skip the exploration semaphore entirely (a replay is a memcpy,
-// not an exploration); misses and coalescing fallbacks acquire a slot
-// exactly as before, so load shedding still protects the engines. The
-// X-Cache response header reports hit/coalesced/miss on every cached-path
-// response for observability; responses are otherwise byte-identical to an
-// uncached server's (tests assert this per endpoint).
+// Cache hits skip admission entirely (a replay is a memcpy, not an
+// exploration); misses and coalescing fallbacks are admitted, so load
+// shedding still protects the engines. The X-Cache response header
+// reports hit/coalesced/miss/stale on every cached-path response for
+// observability; responses are otherwise byte-identical to an uncached
+// server's (tests assert this per endpoint).
 //
 // Invalidation is generational: ReloadNow bumps the generation and calls
 // Invalidate, making every pre-reload entry unreachable (the generation is
@@ -32,13 +36,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"log"
 	"net/http"
 	"sort"
 	"strings"
 
 	"repro"
+	"repro/internal/explore"
 	"repro/internal/resultcache"
 )
 
@@ -50,32 +57,6 @@ const DefaultCacheBytes = 64 << 20
 // by MaxResponseNodes anyway; the cap keeps a handful of worst-case graph
 // renders from monopolising the budget.
 const maxCacheEntryBytes = 1 << 20
-
-// exploreAnnotator lets annotate work on both the real response writer
-// (statusRecorder) and the buffered one the cached path records into.
-type exploreAnnotator interface {
-	setExplore(window string, paths int64, stopped string)
-	setDAG(nodes int64)
-}
-
-// annotate attaches exploration details to the request's usage event.
-func annotate(w http.ResponseWriter, qs QuerySpec, paths int64, stopped string) {
-	if a, ok := w.(exploreAnnotator); ok {
-		a.setExplore(qs.Start+" → "+qs.End, paths, stopped)
-	}
-}
-
-// annotateDAG marks the usage event of a run the DAG substrate answered
-// (countOnly requests), recording its distinct-status count. Cache
-// replays never call it: dagAnswered counts computed runs only.
-func annotateDAG(w http.ResponseWriter, sum coursenav.Summary) {
-	if !sum.DAG {
-		return
-	}
-	if a, ok := w.(exploreAnnotator); ok {
-		a.setDAG(sum.Nodes)
-	}
-}
 
 // canonicalize rewrites req into its canonical form: trimmed terms, course
 // IDs resolved to the catalog's spelling (case-insensitively when
@@ -134,196 +115,136 @@ func canonCourseSet(nav *coursenav.Navigator, ids *[]string) {
 	*ids = out
 }
 
-// exploreKey derives the cache key for a canonicalized request against
-// one tenant's cache partition, or ok=false when that partition is
-// disabled. Keys never collide across tenants because each tenant owns
-// a separate Cache instance — the partition, not the key, carries the
-// tenant.
-func exploreKey(c *resultcache.Cache, gen uint64, endpoint string, req *ExploreRequest) (resultcache.Key, bool) {
-	if c == nil {
-		return resultcache.Key{}, false
-	}
+// unitKey is one canonical request's identity in the pipeline, derived
+// from a single marshal. key addresses the tenant's cache partition
+// under the snapshot generation; keys never collide across tenants
+// because each tenant owns a separate Cache instance — the partition,
+// not the key, carries the tenant. The admission estimator's cost key
+// (costKey) comes from the same blob.
+type unitKey struct {
+	cache    *resultcache.Cache // the tenant's partition; nil = not cached
+	key      resultcache.Key
+	endpoint string
+	blob     []byte // the canonical request; nil when it did not marshal
+}
+
+// unitKey derives a canonicalized request's identity against this
+// tenant's partition at snapshot generation gen. A request that does
+// not marshal is never cached and is priced by the seed alone.
+func (t *tenantState) unitKey(gen uint64, endpoint string, req *ExploreRequest) unitKey {
 	blob, err := json.Marshal(req)
 	if err != nil {
-		return resultcache.Key{}, false
+		return unitKey{endpoint: endpoint}
 	}
-	return resultcache.KeyFor(gen, endpoint, blob), true
-}
-
-// runLimited runs an exploration under the two-level admission control
-// (tenant quota, then the global cost-aware queue), shedding load when
-// either refuses. It is the whole cached-path story when the tenant's
-// cache partition is disabled.
-func (s *Server) runLimited(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string, run http.HandlerFunc) {
-	release, ok := s.admitExplore(t, w, r, req, endpoint)
-	if !ok {
-		return
+	k := unitKey{cache: t.resultCache(), endpoint: endpoint, blob: blob}
+	if k.cache != nil {
+		k.key = resultcache.KeyFor(gen, endpoint, blob)
 	}
-	defer release()
-	run(w, r)
+	return k
 }
 
-// bufferedResponse captures a handler's response so it can be both cached
-// and delivered. Renders are bounded by MaxResponseNodes, so the buffer is
-// small; errors and partial results buffer equally and are simply not
-// cached.
-type bufferedResponse struct {
-	header   http.Header
-	buf      bytes.Buffer
-	status   int
-	wrote    bool
-	window   string
-	paths    int64
-	stopped  string
-	dag      bool
-	dagNodes int64
+// costKey is the generation-independent digest observed run times are
+// recorded under: the cache key's blob with the tenant folded in
+// (partitions keep cache keys tenant-local; the estimator is one map,
+// so the key must carry the tenant itself). It is derived only when a
+// unit reaches admission, so cache hits never pay for it.
+func (k unitKey) costKey(tenantID string) ([sha256.Size]byte, bool) {
+	if k.blob == nil {
+		return [sha256.Size]byte{}, false
+	}
+	return resultcache.KeyFor(0, tenantID+"|"+k.endpoint, k.blob).Hash, true
 }
 
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: http.Header{}, status: http.StatusOK}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if !b.wrote {
-		b.status = code
-		b.wrote = true
+// put caches a completed stream's rendered result under the pipeline's
+// publish rule — the streaming branches' only cache write.
+func (k unitKey) put(run unitRun, err error) {
+	if k.cache != nil && err == nil && run.publishable() {
+		k.cache.Put(k.key, run.ent)
 	}
 }
 
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	b.wrote = true
-	return b.buf.Write(p)
-}
-
-func (b *bufferedResponse) setExplore(window string, paths int64, stopped string) {
-	b.window, b.paths, b.stopped = window, paths, stopped
-}
-
-func (b *bufferedResponse) setDAG(nodes int64) {
-	b.dag, b.dagNodes = true, nodes
-}
-
-// deliver replays the buffered response onto the real writer, forwarding
-// the usage annotations the handler recorded. The DAG marks are forwarded
-// only for the computing request itself (how == "miss"): a coalesced
-// follower shares the bytes but did not run the DAG engine.
-func (b *bufferedResponse) deliver(w http.ResponseWriter, how string) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cache = how
-		rec.window, rec.paths, rec.stopped = b.window, b.paths, b.stopped
-		if how == "miss" && b.dag {
-			rec.setDAG(b.dagNodes)
-		}
-	}
-	h := w.Header()
-	for k, vs := range b.header {
-		h[k] = vs
-	}
-	h.Set("X-Cache", how)
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.buf.Bytes())
-}
-
-// replay writes a cached entry: the stored body byte-for-byte, plus the
-// usage annotations of the run that produced it.
+// replay writes a unit's entry: the body byte-for-byte, plus the usage
+// annotations of the run that produced it. how is the X-Cache
+// disposition, "" when the tenant's caching is off (no header then).
 func replay(w http.ResponseWriter, ent *resultcache.Entry, how string) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cache = how
-		rec.window, rec.paths = ent.Window, ent.Paths
+	rec := recorder(w)
+	rec.cache = how
+	rec.window, rec.paths = ent.Window, ent.Paths
+	if how != "" {
+		w.Header().Set("X-Cache", how)
 	}
-	w.Header().Set("X-Cache", how)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ent.Body)
 }
 
-// serveCached is the non-streaming explore driver: replay a hit, coalesce
-// with an identical in-flight miss, or run the exploration (buffered) and
-// cache the result when it is a complete 200 within the entry cap. run
-// receives a buffered writer; all its error paths buffer and deliver
-// normally, they just never populate the cache.
+// serveUnit is the HTTP shell over runUnit for the non-streaming
+// explore endpoints: replay a hit, serve stale under brownout, run the
+// unit, then answer with its body, a shed or an error envelope.
 //
 // Brownout behaviour (stale-while-revalidate): while the service is
 // degraded, a miss whose request was cached in the PREVIOUS snapshot
 // generation is answered from that stale entry immediately — marked
 // X-Cache: stale with "degraded":true in the envelope — and the fresh
-// computation happens in the background when a slot is free, populating
-// the live cache for the next request. A request shed by admission gets
-// the same stale fallback before the error goes out: a slightly old
-// answer beats a 429 for the paper's interactive workload, and staleness
-// is bounded at one generation by the cache's construction.
-func (s *Server) serveCached(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string, gen uint64, run http.HandlerFunc) {
-	cache := t.resultCache()
-	key, cacheable := exploreKey(cache, gen, endpoint, req)
-	if !cacheable {
-		s.runLimited(t, w, r, req, endpoint, run)
-		return
-	}
-	if ent, ok := cache.Get(key); ok {
-		replay(w, ent, "hit")
-		return
-	}
-	if s.Brownout && s.degradedNow() {
-		if ent, ok := cache.Stale(key); ok {
-			replayStale(w, ent)
-			s.revalidate(t, r, cache, key, run)
+// computation happens in the background when both admission levels have
+// a slot free, populating the live cache for the next request. A
+// request shed by admission gets the same stale fallback before the
+// error goes out: a slightly old answer beats a 429 for the paper's
+// interactive workload, and staleness is bounded at one generation by
+// the cache's construction.
+func (s *Server) serveUnit(t *tenantState, w http.ResponseWriter, r *http.Request, req *ExploreRequest, endpoint string, gen uint64, exec unitExec) {
+	k := t.unitKey(gen, endpoint, req)
+	if k.cache != nil {
+		if ent, ok := k.cache.Get(k.key); ok {
+			replay(w, ent, "hit")
 			return
 		}
-	}
-	f, leader := cache.Join(key)
-	if !leader {
-		if ent := f.Wait(r.Context()); ent != nil {
-			replay(w, ent, "coalesced")
-			return
-		}
-		// The leader produced nothing cacheable (error, truncated run,
-		// oversized render) or our client gave up: compute individually.
-	}
-	finished := false
-	if leader {
-		// A panicking handler must not leave followers blocked on the
-		// flight: finish it empty on any non-normal exit.
-		defer func() {
-			if !finished {
-				cache.Finish(key, f, nil)
+		if s.degradedNow() {
+			if ent, ok := k.cache.Stale(k.key); ok {
+				replayStale(w, ent)
+				go s.revalidate(t, k, req, exec)
+				return
 			}
-		}()
+		}
 	}
-	res, ok := s.admit(t, r.Context(), req, endpoint)
-	if !ok {
-		// Shed — but a stale entry, when one exists, turns the shed into a
-		// served response: degraded beats denied.
-		if s.Brownout {
-			if ent, sok := cache.Stale(key); sok {
-				annotateAdmission(w, res.outcome)
+	res, err := s.runUnit(r.Context(), t, k, req, unitProbed, exec)
+	// runUnit returns a shed bare; a type assertion, unlike errors.As,
+	// costs the miss path no allocation.
+	if se, ok := err.(*unitShedError); ok {
+		if k.cache != nil && s.Brownout {
+			if ent, ok := k.cache.Stale(k.key); ok {
+				annotateAdmission(w, se.res.outcome)
 				replayStale(w, ent)
 				return
 			}
 		}
-		s.writeShed(t, w, res)
+		s.writeShed(t, w, se.res)
 		return
 	}
-	annotateAdmission(w, res.outcome)
-	defer res.release()
-	bw := newBufferedResponse()
-	run(bw, r)
-	var ent *resultcache.Entry
-	if bw.status == http.StatusOK && bw.stopped == "" && bw.buf.Len() <= maxCacheEntryBytes {
-		ent = &resultcache.Entry{
-			Body:   append([]byte(nil), bw.buf.Bytes()...),
-			Paths:  bw.paths,
-			Window: bw.window,
+	rec := recorder(w)
+	if err != nil {
+		if ctxErr := r.Context().Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			// The client left while awaiting a coalesced flight: record
+			// the cancelled run it would have been; nobody reads a body.
+			rec.stopped = explore.StopCanceled
+			return
 		}
+		if k.cache != nil {
+			rec.cache = "miss"
+			w.Header().Set("X-Cache", "miss")
+		}
+		s.writeNavErr(w, err)
+		return
 	}
-	if leader {
-		cache.Finish(key, f, ent)
-		finished = true
-	} else if ent != nil {
-		cache.Put(key, ent)
+	annotateAdmission(w, res.admission)
+	if res.how == "miss" {
+		rec.stopped = res.stopped
+		rec.dag, rec.dagNodes = res.dag, res.dagNodes
 	}
-	bw.deliver(w, "miss")
+	if k.cache == nil {
+		res.how = ""
+	}
+	replay(w, res.ent, res.how)
 }
 
 // degradedSuffix is spliced into a replayed body's top-level object when
@@ -351,11 +272,9 @@ func injectDegraded(body []byte) []byte {
 // response: X-Cache: stale, "degraded":true in the body, recorded in
 // usage as a degraded stale serve.
 func replayStale(w http.ResponseWriter, ent *resultcache.Entry) {
-	if rec, ok := w.(*statusRecorder); ok {
-		rec.cache = "stale"
-		rec.degraded = true
-		rec.window, rec.paths = ent.Window, ent.Paths
-	}
+	rec := recorder(w)
+	rec.cache, rec.degraded = "stale", true
+	rec.window, rec.paths = ent.Window, ent.Paths
 	w.Header().Set("X-Cache", "stale")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -364,67 +283,54 @@ func replayStale(w http.ResponseWriter, ent *resultcache.Entry) {
 
 // revalidate computes a fresh answer for a stale-served request in the
 // background — the stale-while-revalidate half of brownout mode. It is
-// strictly best-effort: it runs only when it can take a slot without
-// queueing (degraded means slots are scarce) and when no identical
-// computation is already in flight, and it gives up silently on any
-// failure (the next request just misses again).
-func (s *Server) revalidate(t *tenantState, r *http.Request, cache *resultcache.Cache, key resultcache.Key, run http.HandlerFunc) {
-	f, leader := cache.Join(key)
-	if !leader {
-		return
-	}
-	release, ok := s.adm().TryAcquire()
-	if !ok {
-		cache.Finish(key, f, nil)
-		return
-	}
-	// The request context dies when the handler returns; the background
-	// run gets a fresh one bounded by runCtx's usual caps.
-	bg := r.Clone(context.Background())
-	go func() {
-		defer release()
-		finished := false
-		defer func() {
-			if p := recover(); p != nil {
-				log.Printf("server: tenant %s: panic in background revalidation: %v", t.id, p)
-			}
-			if !finished {
-				cache.Finish(key, f, nil)
-			}
-		}()
-		bw := newBufferedResponse()
-		run(bw, bg)
-		var ent *resultcache.Entry
-		if bw.status == http.StatusOK && bw.stopped == "" && bw.buf.Len() <= maxCacheEntryBytes {
-			ent = &resultcache.Entry{
-				Body:   append([]byte(nil), bw.buf.Bytes()...),
-				Paths:  bw.paths,
-				Window: bw.window,
-			}
+// strictly best-effort: as a unitRevalidate unit it runs only when no
+// identical computation is already in flight and both admission levels
+// (the tenant quota included) have a slot free without queueing —
+// degraded means slots are scarce. Its run time feeds the estimator
+// like any computed unit; any failure is silent (the next request just
+// misses again). The request context dies when the handler returns, so
+// the run gets a fresh one bounded by unitCtx's usual caps.
+func (s *Server) revalidate(t *tenantState, k unitKey, req *ExploreRequest, exec unitExec) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("server: tenant %s: panic in background revalidation: %v", t.id, p)
 		}
-		cache.Finish(key, f, ent)
-		finished = true
 	}()
+	_, _ = s.runUnit(context.Background(), t, k, req, unitRevalidate, exec)
 }
 
-// graphEntry renders the non-streaming explore envelope for a graph
-// collected off a completed stream, for cache population. nil when the
-// render fails or exceeds the entry cap.
-func (s *Server) graphEntry(qs QuerySpec, sum coursenav.Summary, g *coursenav.Graph, paths int64) *resultcache.Entry {
+// window labels a query's exploration window for usage and cache
+// entries.
+func window(qs QuerySpec) string { return qs.Start + " → " + qs.End }
+
+// exploreRun renders the deadline/goal envelope for a finished run —
+// graph included when the run materialised one — as a unit result. It
+// is the one entry builder for that envelope: the deadline and goal
+// execs and their stream branches' cache population render through it.
+func (s *Server) exploreRun(qs QuerySpec, sum coursenav.Summary, g *coursenav.Graph, paths int64) (unitRun, error) {
 	var buf bytes.Buffer
-	if err := s.renderExploreBody(&buf, sum, g); err != nil || buf.Len() > maxCacheEntryBytes {
-		return nil
+	if err := s.renderExploreBody(&buf, sum, g); err != nil {
+		return unitRun{}, err
 	}
-	return &resultcache.Entry{Body: buf.Bytes(), Paths: paths, Window: qs.Start + " → " + qs.End}
+	run := unitRun{
+		ent:     &resultcache.Entry{Body: buf.Bytes(), Paths: paths, Window: window(qs)},
+		stopped: sum.Stopped,
+	}
+	if sum.DAG {
+		run.dag, run.dagNodes = true, sum.Nodes
+	}
+	return run, nil
 }
 
-// rankedEntry renders the non-streaming ranked response body for cache
-// population from a completed ranked stream. The paths arrive in rank
-// order, exactly as TopKCtx would return them.
-func (s *Server) rankedEntry(qs QuerySpec, sum coursenav.Summary, paths []coursenav.Path) *resultcache.Entry {
-	blob, err := json.Marshal(rankedResponse{Summary: toSummaryBody(sum), Paths: paths})
-	if err != nil || len(blob)+1 > maxCacheEntryBytes {
-		return nil
+// jsonRun renders v as a unit result: exactly the bytes writeJSON puts
+// on the wire (json.Marshal plus the encoder's trailing newline).
+func jsonRun(qs QuerySpec, v interface{}, paths int64, stopped string) (unitRun, error) {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return unitRun{}, err
 	}
-	return &resultcache.Entry{Body: append(blob, '\n'), Paths: int64(len(paths)), Window: qs.Start + " → " + qs.End}
+	return unitRun{
+		ent:     &resultcache.Entry{Body: append(blob, '\n'), Paths: paths, Window: window(qs)},
+		stopped: stopped,
+	}, nil
 }

@@ -5,18 +5,21 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/tenant"
 )
 
 // canonKey canonicalizes req against the server's snapshot and derives
-// its cache key, failing the test when caching is disabled.
+// both of its keys — the cache key and the admission cost key — from
+// the default tenant, failing the test when either is unusable.
 func canonKey(t *testing.T, s *Server, endpoint string, req *ExploreRequest) interface{} {
 	t.Helper()
 	canonicalize(s.Navigator(), req)
-	key, ok := exploreKey(s.Cache, 0, endpoint, req)
-	if !ok {
-		t.Fatal("exploreKey unusable on a cache-enabled server")
+	k := s.defaultTenant().unitKey(0, endpoint, req)
+	cost, ok := k.costKey(tenant.Default)
+	if k.cache == nil || !ok {
+		t.Fatal("unitKey unusable on a cache-enabled server")
 	}
-	return key
+	return [2]interface{}{k.key, cost}
 }
 
 // TestCanonicalKeyEquality: requests that differ only in list order,
@@ -64,6 +67,19 @@ func TestCanonicalKeyEquality(t *testing.T) {
 			t.Errorf("%s: key diverged from base", name)
 		}
 	}
+	// The cost key ignores the snapshot generation: observed run times
+	// outlive a reload, while cache entries do not.
+	req := base()
+	canonicalize(s.Navigator(), req)
+	g0, g1 := s.defaultTenant().unitKey(0, "goal", req), s.defaultTenant().unitKey(1, "goal", req)
+	c0, _ := g0.costKey(tenant.Default)
+	c1, _ := g1.costKey(tenant.Default)
+	if c0 != c1 {
+		t.Error("cost key depends on the snapshot generation")
+	}
+	if g0.key == g1.key {
+		t.Error("cache key ignores the snapshot generation")
+	}
 }
 
 // TestCanonicalKeySeparation: requests that genuinely differ must not
@@ -89,6 +105,14 @@ func TestCanonicalKeySeparation(t *testing.T) {
 	c := &ExploreRequest{Query: QuerySpec{Start: "Fall 2013", End: "Fall 2015"}}
 	if canonKey(t, s, "deadline", c) == canonKey(t, s, "goal", c) {
 		t.Fatal("endpoints share a key")
+	}
+	// The estimator is one map across tenants, so the cost key carries
+	// the tenant itself.
+	k := s.defaultTenant().unitKey(0, "goal", c)
+	own, _ := k.costKey(tenant.Default)
+	other, _ := k.costKey("acme")
+	if own == other {
+		t.Fatal("tenants share a cost key")
 	}
 }
 

@@ -9,16 +9,18 @@
 // individually priced by the admission estimator, individually budgeted
 // (RequestTimeout and brownout clamps apply per unit, not per job), and
 // keyed into the tenant's result cache: members sharing a canonical
-// sub-request coalesce with each other and with interactive traffic.
-// For an empty scenario the units use the interactive endpoints' own
-// cache key space ("goal", "whatif"), so a cohort-of-1 detail replan is
-// byte-identical to the corresponding /api/v1/explore/whatif response —
-// a tested invariant. Non-empty scenarios fold the scenario digest into
-// the key space so deltas can never alias the live catalog.
+// sub-request coalesce with each other, within a job and across jobs.
+// Counting units run on the shared substrate and keep a cohort-internal
+// key space ("goal|substrate", "goalmh<h>|substrate"); replans run the
+// whatif endpoint's own exec, and for an empty scenario use its key
+// space ("whatif"), so a cohort-of-1 detail replan is byte-identical to
+// the corresponding /api/v1/explore/whatif response and shares its
+// cache entries — a tested invariant. Non-empty scenarios fold the
+// scenario digest into the key space so deltas can never alias the
+// live catalog.
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,12 +30,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/cohort"
-	"repro/internal/resultcache"
 	"repro/internal/term"
 	"repro/internal/transcript"
 )
@@ -221,7 +221,7 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 
 	pl := &serverPlanner{
 		s: s, t: t, gen: gen,
-		baseNav: nav, scenNav: scenNav, sampleNavs: sampleNavs,
+		scenNav:  scenNav,
 		scenario: &req.Scenario,
 		goalSpec: *req.Goal,
 		template: req.Query,
@@ -230,8 +230,8 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 	// The job's counting units run on a shared substrate — one interned
 	// DAG + tally memo per catalog variant, built across members — with
 	// each execution still threaded through runUnit, so per-unit pricing,
-	// budgets and the result cache behave exactly as the dedicated path.
-	// Replans (path-shaped) stay on the dedicated path.
+	// budgets and the result cache apply to every unit. Replans
+	// (path-shaped) run the whatif exec.
 	shared := &cohort.SharedPlanner{
 		Inner:    pl,
 		Base:     nav,
@@ -359,64 +359,46 @@ func (s *Server) cohortMembers(nav *coursenav.Navigator, cat *catalog.Catalog, r
 	return members, nil
 }
 
-// serverPlanner executes cohort units through the serving pipeline:
+// serverPlanner threads cohort units through the serving pipeline:
 // each unit is an ExploreRequest in the same canonical form the
 // interactive handlers produce, run through runUnit (cache → coalesce →
-// admission → engine). Variant selection maps to endpoint key spaces:
-// the base catalog uses the interactive endpoints' own spaces ("goal",
-// "whatif") — as does an empty scenario — while a non-empty delta and
-// each Monte-Carlo sample get digest-suffixed spaces of their own.
+// admission → exec). Variant selection maps to endpoint key spaces: the
+// base catalog and an empty scenario use the unit's base space, while a
+// non-empty delta and each Monte-Carlo sample get digest-suffixed
+// spaces of their own.
 type serverPlanner struct {
-	s          *Server
-	t          *tenantState
-	gen        uint64
-	baseNav    *coursenav.Navigator
-	scenNav    *coursenav.Navigator
-	sampleNavs []*coursenav.Navigator
-	scenario   *cohort.Scenario
-	goalSpec   GoalSpec
-	template   QuerySpec
-	budget     *BudgetSpec
+	s        *Server
+	t        *tenantState
+	gen      uint64
+	scenNav  *coursenav.Navigator
+	scenario *cohort.Scenario
+	goalSpec GoalSpec
+	template QuerySpec
+	budget   *BudgetSpec
 
-	mu    sync.Mutex // guards goals: the parallel pipeline shares the planner
-	goals map[*coursenav.Navigator]coursenav.Goal
+	goalOnce sync.Once // builds goal/goalErr on the first replan that runs
+	goal     coursenav.Goal
+	goalErr  error
 }
 
-// variant resolves a cohort variant to its navigator and endpoint key
-// space. kind is the interactive endpoint name the unit piggybacks on.
-func (p *serverPlanner) variant(v cohort.Variant, kind string) (*coursenav.Navigator, string, error) {
-	switch v.Kind {
-	case cohort.KindBase:
-		return p.baseNav, kind, nil
-	case cohort.KindScenario:
-		if p.scenario.Empty() {
-			return p.scenNav, kind, nil
-		}
-		return p.scenNav, kind + "|cohort:" + p.scenario.Digest(), nil
-	case cohort.KindSample:
-		if v.Sample < 0 || v.Sample >= len(p.sampleNavs) {
-			return nil, "", fmt.Errorf("cohort: sample %d out of range", v.Sample)
-		}
-		return p.sampleNavs[v.Sample], kind + "|cohort:" + p.scenario.SampleKey(v.Sample), nil
-	}
-	return nil, "", fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
+// scenGoal returns the job's goal on the scenario catalog, built once
+// for all replans (the parallel pipeline shares the planner).
+func (p *serverPlanner) scenGoal() (coursenav.Goal, error) {
+	p.goalOnce.Do(func() { p.goal, p.goalErr = buildGoal(p.scenNav, p.goalSpec) })
+	return p.goal, p.goalErr
 }
 
-func (p *serverPlanner) goalFor(nav *coursenav.Navigator) (coursenav.Goal, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if g, ok := p.goals[nav]; ok {
-		return g, nil
+// keySpace resolves a cohort variant to its endpoint key space; base
+// names the unit's space on the live catalog. Variants reach the unit
+// wrappers already validated by SharedPlanner.
+func (p *serverPlanner) keySpace(v cohort.Variant, base string) string {
+	switch {
+	case v.Kind == cohort.KindSample:
+		return base + "|cohort:" + p.scenario.SampleKey(v.Sample)
+	case v.Kind == cohort.KindScenario && !p.scenario.Empty():
+		return base + "|cohort:" + p.scenario.Digest()
 	}
-	g, err := buildGoal(nav, p.goalSpec)
-	if err != nil {
-		return coursenav.Goal{}, err
-	}
-	if p.goals == nil {
-		p.goals = map[*coursenav.Navigator]coursenav.Goal{}
-	}
-	p.goals[nav] = g
-	return g, nil
+	return base
 }
 
 // unitReq folds one member into the job's canonical template. The
@@ -432,210 +414,77 @@ func (p *serverPlanner) unitReq(m cohort.Member, end string, countOnly bool) *Ex
 	return &ExploreRequest{Query: qs, Goal: &goal, Budget: p.budget}
 }
 
-// Count implements cohort.Planner: a goal countOnly unit, exactly the
-// interactive countOnly goal exploration (DAG substrate and all) keyed
-// into the variant's endpoint space.
-func (p *serverPlanner) Count(ctx context.Context, m cohort.Member, end string, v cohort.Variant) (cohort.CountResult, error) {
-	nav, endpoint, err := p.variant(v, "goal")
-	if err != nil {
-		return cohort.CountResult{}, err
-	}
-	req := p.unitReq(m, end, true)
-	var stopped string
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
-		goal, err := p.goalFor(nav)
-		if err != nil {
-			return nil, false, err
-		}
-		sum, err := nav.GoalPathsCountCtx(ctx, p.s.query(req.Query, req.Budget), goal)
-		if err != nil {
-			return nil, false, err
-		}
-		stopped = sum.Stopped
-		var buf bytes.Buffer
-		if err := p.s.renderExploreBody(&buf, sum, nil); err != nil {
-			return nil, false, err
-		}
-		ent := &resultcache.Entry{
-			Body:   buf.Bytes(),
-			Paths:  sum.GoalPaths,
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
-		return ent, sum.Stopped == "" && buf.Len() <= maxCacheEntryBytes, nil
-	})
-	if err != nil {
-		return cohort.CountResult{}, err
-	}
-	return cohort.CountResult{GoalPaths: ent.Paths, Stopped: stopped, Reused: how != "miss"}, nil
+// run executes one unit through runUnit under the job's tenant and
+// snapshot generation.
+func (p *serverPlanner) run(ctx context.Context, endpoint string, req *ExploreRequest, exec unitExec) (unitResult, error) {
+	return p.s.runUnit(ctx, p.t, p.t.unitKey(p.gen, endpoint, req), req, unitBatch, exec)
 }
 
-// horizonBody is the cached body of a multi-deadline counting unit —
-// a cohort-internal key space ("goalmh<h>"), never shared with an
-// interactive endpoint, so the shape is the unit's own.
-type horizonBody struct {
+// substrateBody is the cached body of a shared-substrate counting unit:
+// GoalPaths[h] counts goal paths by deadline end+h (one element for a
+// single-deadline unit).
+type substrateBody struct {
 	GoalPaths []int64 `json:"goalPaths"`
-	Stopped   string  `json:"stopped,omitempty"`
-}
-
-// CountHorizons implements cohort.Planner on the dedicated engine: one
-// multi-deadline counting run through runUnit, cached under the
-// variant's "goalmh<h>" key space. The shared-substrate path
-// (SharedPlanner) supersedes this for cohort jobs; it remains the
-// complete fallback for direct serverPlanner use.
-func (p *serverPlanner) CountHorizons(ctx context.Context, m cohort.Member, end string, horizon int, v cohort.Variant) (cohort.HorizonCounts, error) {
-	nav, endpoint, err := p.variant(v, "goalmh"+strconv.Itoa(horizon))
-	if err != nil {
-		return cohort.HorizonCounts{}, err
-	}
-	req := p.unitReq(m, end, true)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
-		goal, err := p.goalFor(nav)
-		if err != nil {
-			return nil, false, err
-		}
-		gp, sum, err := nav.GoalPathsCountHorizonsCtx(ctx, p.s.query(req.Query, req.Budget), goal, horizon)
-		if err != nil {
-			return nil, false, err
-		}
-		blob, err := json.Marshal(horizonBody{GoalPaths: gp, Stopped: sum.Stopped})
-		if err != nil {
-			return nil, false, err
-		}
-		ent := &resultcache.Entry{
-			Body:   append(blob, '\n'),
-			Paths:  sum.GoalPaths,
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
-		return ent, sum.Stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
-	})
-	if err != nil {
-		return cohort.HorizonCounts{}, err
-	}
-	var hb horizonBody
-	if err := json.Unmarshal(ent.Body, &hb); err != nil {
-		return cohort.HorizonCounts{}, err
-	}
-	return cohort.HorizonCounts{GoalPaths: hb.GoalPaths, Stopped: hb.Stopped, Reused: how != "miss"}, nil
 }
 
 // sharedUnit threads one shared-substrate counting execution through
-// runUnit: the unit keeps the dedicated path's key space (so cache
-// entries flow between cohort jobs and interactive countOnly traffic in
-// both directions), its admission pricing and its per-unit budgets —
-// only the engine underneath changed.
+// runUnit, so the unit is priced, budgeted and cached like any other.
+// Its key space ("goal|substrate") is cohort-internal: the substrate
+// knows the unit's goal-path count but not the tallies an interactive
+// countOnly body reports, so its entries must never answer an
+// interactive request. Cohort units still coalesce with each other,
+// within a job and across jobs.
 func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end string, v cohort.Variant, exec cohort.CountExec) (cohort.CountResult, error) {
-	_, endpoint, err := p.variant(v, "goal")
-	if err != nil {
-		return cohort.CountResult{}, err
-	}
 	req := p.unitReq(m, end, true)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
-		began := time.Now()
+	res, err := p.run(ctx, p.keySpace(v, "goal|substrate"), req, func(ctx context.Context) (unitRun, error) {
 		sc, err := exec(ctx)
 		if err != nil {
-			return nil, false, err
+			return unitRun{}, err
 		}
-		sum := coursenav.Summary{
-			Paths:     sc.Paths,
-			GoalPaths: sc.GoalPaths,
-			Nodes:     sc.Nodes,
-			Elapsed:   time.Since(began),
-			DAG:       true,
-		}
-		var buf bytes.Buffer
-		if err := p.s.renderExploreBody(&buf, sum, nil); err != nil {
-			return nil, false, err
-		}
-		ent := &resultcache.Entry{
-			Body:   buf.Bytes(),
-			Paths:  sum.GoalPaths,
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
-		return ent, buf.Len() <= maxCacheEntryBytes, nil
+		return jsonRun(req.Query, substrateBody{GoalPaths: []int64{sc.GoalPaths}}, sc.GoalPaths, "")
 	})
 	if err != nil {
 		return cohort.CountResult{}, err
 	}
-	return cohort.CountResult{GoalPaths: ent.Paths, Reused: how != "miss"}, nil
+	return cohort.CountResult{GoalPaths: res.ent.Paths, Reused: res.how != "miss"}, nil
 }
 
 // sharedHorizonUnit is sharedUnit's multi-deadline counterpart, keyed
-// like CountHorizons' dedicated units.
+// under "goalmh<h>|substrate".
 func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, end string, horizon int, v cohort.Variant, exec cohort.HorizonExec) (cohort.HorizonCounts, error) {
-	_, endpoint, err := p.variant(v, "goalmh"+strconv.Itoa(horizon))
-	if err != nil {
-		return cohort.HorizonCounts{}, err
-	}
 	req := p.unitReq(m, end, true)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
+	res, err := p.run(ctx, p.keySpace(v, "goalmh"+strconv.Itoa(horizon)+"|substrate"), req, func(ctx context.Context) (unitRun, error) {
 		sc, err := exec(ctx)
 		if err != nil {
-			return nil, false, err
+			return unitRun{}, err
 		}
-		blob, err := json.Marshal(horizonBody{GoalPaths: sc.GoalPaths})
-		if err != nil {
-			return nil, false, err
-		}
-		ent := &resultcache.Entry{
-			Body:   append(blob, '\n'),
-			Paths:  sc.GoalPaths[0],
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
-		return ent, len(ent.Body) <= maxCacheEntryBytes, nil
+		return jsonRun(req.Query, substrateBody{GoalPaths: sc.GoalPaths}, sc.GoalPaths[0], "")
 	})
 	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
-	var hb horizonBody
-	if err := json.Unmarshal(ent.Body, &hb); err != nil {
+	var body substrateBody
+	if err := json.Unmarshal(res.ent.Body, &body); err != nil {
 		return cohort.HorizonCounts{}, err
 	}
-	return cohort.HorizonCounts{GoalPaths: hb.GoalPaths, Reused: how != "miss"}, nil
+	return cohort.HorizonCounts{GoalPaths: body.GoalPaths, Reused: res.how != "miss"}, nil
 }
 
-// Replan implements cohort.Planner: the member's what-if unit against
-// the scenario catalog. The rendered entry body is byte-identical to
-// the interactive whatif endpoint's response (both are
-// json.Marshal(whatIfResponse) + '\n'), so for an empty scenario the
-// unit shares the interactive "whatif" cache space in both directions.
+// Replan implements cohort.Replanner: the member's what-if unit against
+// the scenario catalog, run by the interactive whatif endpoint's own
+// exec (whatIfRun). For an empty scenario the unit shares the "whatif"
+// key space in both directions.
 func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string) (cohort.Replan, error) {
-	nav, endpoint, err := p.variant(cohort.Variant{Kind: cohort.KindScenario}, "whatif")
-	if err != nil {
-		return cohort.Replan{}, err
-	}
 	req := p.unitReq(m, end, false)
-	ent, how, err := p.s.runUnit(ctx, p.t, p.gen, endpoint, req, func(ctx context.Context) (*resultcache.Entry, bool, error) {
-		ctx, cancel := p.s.unitCtx(ctx, req.Budget)
-		defer cancel()
-		goal, err := p.goalFor(nav)
+	res, err := p.run(ctx, p.keySpace(cohort.Variant{Kind: cohort.KindScenario}, "whatif"), req, func(ctx context.Context) (unitRun, error) {
+		goal, err := p.scenGoal()
 		if err != nil {
-			return nil, false, err
+			return unitRun{}, err
 		}
-		impacts, stopped, err := nav.CompareSelectionsCtx(ctx, p.s.query(req.Query, req.Budget), goal)
-		if err != nil {
-			return nil, false, err
-		}
-		blob, err := json.Marshal(whatIfResponse{Selections: impacts, Stopped: stopped})
-		if err != nil {
-			return nil, false, err
-		}
-		ent := &resultcache.Entry{
-			Body:   append(blob, '\n'),
-			Paths:  int64(len(impacts)),
-			Window: req.Query.Start + " → " + req.Query.End,
-		}
-		return ent, stopped == "" && len(ent.Body) <= maxCacheEntryBytes, nil
+		return p.s.whatIfRun(ctx, p.scenNav, goal, req)
 	})
 	if err != nil {
 		return cohort.Replan{}, err
 	}
-	return cohort.Replan{Body: ent.Body, Reused: how != "miss"}, nil
+	return cohort.Replan{Body: res.ent.Body, Reused: res.how != "miss"}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -74,6 +75,35 @@ func TestCohortOfOneMatchesWhatIf(t *testing.T) {
 	// unit must have found it — same canonical request, same key space.
 	if sum.Coalesced == 0 {
 		t.Errorf("cohort-of-1 did not reuse the interactive whatif cache entry: %+v", sum)
+	}
+}
+
+// A cohort job's counting units must not answer interactive requests:
+// after a job replans a member, the interactive countOnly goal body for
+// the same position equals a fresh server's (elapsedMs aside).
+func TestCohortDoesNotAlterInteractiveCountBody(t *testing.T) {
+	const countBody = `{"query":{"completed":["COSI 11A","COSI 12B"],"start":"Fall 2014","end":"Fall 2015","maxPerTerm":3,"countOnly":true},"goal":{"courses":["COSI 29A","COSI 127B"]}}`
+	elapsed := regexp.MustCompile(`"elapsedMs":[0-9.e+-]+`)
+	masked := func(b []byte) string { return elapsed.ReplaceAllString(string(b), `"elapsedMs":0`) }
+
+	_, fresh := newV1Server(t)
+	resp, want := post(t, fresh, "/api/v1/explore/goal", countBody)
+	if resp.StatusCode != 200 {
+		t.Fatalf("fresh countOnly goal: %d %s", resp.StatusCode, want)
+	}
+
+	_, ts := newV1Server(t)
+	const cohortBody = `{"members":[{"student":"S1","completed":["COSI 11A","COSI 12B"],"start":"Fall 2014"}],"query":{"end":"Fall 2015","maxPerTerm":3},"goal":{"courses":["COSI 29A","COSI 127B"]}}`
+	if resp, b := post(t, ts, "/api/v1/cohort", cohortBody); resp.StatusCode != 200 {
+		t.Fatalf("cohort: %d %s", resp.StatusCode, b)
+	}
+	resp, got := post(t, ts, "/api/v1/explore/goal", countBody)
+	if resp.StatusCode != 200 {
+		t.Fatalf("countOnly goal after cohort: %d %s", resp.StatusCode, got)
+	}
+	if masked(got) != masked(want) {
+		t.Errorf("countOnly goal body after a cohort job (X-Cache %s):\n got %s\nwant %s",
+			resp.Header.Get("X-Cache"), got, want)
 	}
 }
 

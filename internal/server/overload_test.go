@@ -201,6 +201,52 @@ func TestBrownoutServesStaleThenRecovers(t *testing.T) {
 	}
 }
 
+// A stale serve's background revalidation is admitted like any other
+// exploration, tenant quota included: with the tenant holding its only
+// quota slot, the stale answer still goes out but nothing is computed
+// behind it, even though a global slot is free.
+func TestBrownoutRevalidateRespectsTenantQuota(t *testing.T) {
+	s := New(navFromDump(t, reloadDumpSmall))
+	s.MaxConcurrent = 1
+	s.TenantMaxConcurrent = 1
+	s.BrownoutHold = 5 * time.Second
+	s.Loader = func() (*coursenav.Navigator, *coursenav.ImportReport, error) {
+		return navFromDump(t, reloadDumpSmall), nil, nil
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	body := `{"query":{"start":"Fall 2012","end":"Fall 2013","maxPerTerm":1}}`
+	if resp, b := post(t, ts, "/api/v1/explore/deadline", body); resp.StatusCode != 200 {
+		t.Fatalf("priming request: %d (%s)", resp.StatusCode, b)
+	}
+	if resp, b := postReload(t, ts); resp.StatusCode != 200 {
+		t.Fatalf("reload: %d (%s)", resp.StatusCode, b)
+	}
+
+	// Latch the degraded state, then free the global slot and take the
+	// tenant's only quota slot instead.
+	forceDegraded(t, s, ts)()
+	relQuota, ok := s.defaultTenant().acquireQuota()
+	if !ok {
+		t.Fatal("could not take the tenant's quota slot")
+	}
+	defer relQuota()
+
+	resp, b := post(t, ts, "/api/v1/explore/deadline", body)
+	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "stale" {
+		t.Fatalf("degraded miss: %d X-Cache=%q, want 200 stale (%s)", resp.StatusCode, resp.Header.Get("X-Cache"), b)
+	}
+	// An admitted revalidation of this tiny window finishes in well under
+	// a millisecond and publishes a live entry; none may appear.
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		if n := s.Cache.Stats().Entries; n != 0 {
+			t.Fatalf("background revalidation ran past the tenant quota: %d live entries", n)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // While degraded, admitted explorations run under clamped budgets and
 // return well-formed partial results instead of holding slots.
 func TestDegradedClampsBudgets(t *testing.T) {

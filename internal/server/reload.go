@@ -91,9 +91,8 @@ func (s *Server) ReloadNow() ReloadStatus {
 // loader AND the old catalog serving (the manifest-update path relies
 // on this). configured is false when the tenant has no loader at all.
 func (t *tenantState) reload(newLoader Loader) (st ReloadStatus, configured bool) {
-	mu := t.reloadMutex()
-	mu.Lock()
-	defer mu.Unlock()
+	t.reloadMu.Lock()
+	defer t.reloadMu.Unlock()
 	st = ReloadStatus{Tenant: t.id, Generation: t.gen()}
 	loader := newLoader
 	if loader == nil {
@@ -141,8 +140,8 @@ func (t *tenantState) reload(newLoader Loader) (st ReloadStatus, configured bool
 		return st, true
 	}
 	st.Courses = nav.NumCourses()
-	t.storeNav(nav)
-	st.Generation = t.bumpGen()
+	t.nav.Store(nav)
+	st.Generation = t.generation.Add(1)
 	if c := t.resultCache(); c != nil {
 		// Every cached result and in-flight coalesced run in THIS tenant's
 		// partition belongs to the catalog just replaced; the generation
@@ -152,7 +151,7 @@ func (t *tenantState) reload(newLoader Loader) (st ReloadStatus, configured bool
 		c.Invalidate(st.Generation)
 	}
 	if newLoader != nil {
-		t.setLoader(newLoader)
+		t.loader = newLoader
 	}
 	st.OK = true
 	return st, true

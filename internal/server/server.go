@@ -114,12 +114,10 @@ const (
 // every request reads the pointer once on entry and runs entirely
 // against that snapshot, so a hot reload (ReloadNow, POST
 // .../admin/reload) swapping in a new catalog never disturbs
-// explorations already in flight. The exported nav/generation/Cache/
-// Loader fields below ARE the default tenant's state — tenant.go's
-// registry aliases them — so single-tenant call sites keep working
-// unchanged.
+// explorations already in flight. The exported Cache, Loader, CacheBytes
+// and TenantMaxConcurrent fields configure the default tenant (see
+// tenant.go), so single-tenant call sites keep working unchanged.
 type Server struct {
-	nav atomic.Pointer[coursenav.Navigator]
 	mux *http.ServeMux
 	// NodeBudget and MaxResponseNodes override the defaults when positive.
 	NodeBudget       int
@@ -207,10 +205,8 @@ type Server struct {
 	// DefaultCacheBytes; set nil to disable caching for that tenant.
 	Cache *resultcache.Cache
 
-	admission  *admission.Controller
-	admOnce    sync.Once     // builds the controller from the knobs on first acquire
-	reloadMu   sync.Mutex    // serialises default-tenant reload attempts
-	generation atomic.Uint64 // default tenant's successful swaps since start
+	admission *admission.Controller
+	admOnce   sync.Once // builds the controller from the knobs on first acquire
 
 	registry   atomic.Pointer[map[string]*tenantState] // copy-on-write; see tenant.go
 	registryMu sync.Mutex                              // serialises registry mutations
@@ -220,11 +216,11 @@ type Server struct {
 // Navigator returns the default tenant's currently serving catalog
 // snapshot. Handlers read it once per request; callers may use it for
 // diagnostics.
-func (s *Server) Navigator() *coursenav.Navigator { return s.nav.Load() }
+func (s *Server) Navigator() *coursenav.Navigator { return s.defaultTenant().navigator() }
 
 // Generation returns the default tenant's successful catalog swaps
 // since start.
-func (s *Server) Generation() uint64 { return s.generation.Load() }
+func (s *Server) Generation() uint64 { return s.defaultTenant().gen() }
 
 // New returns a Server serving nav as its default tenant.
 func New(nav *coursenav.Navigator) *Server {
@@ -239,8 +235,8 @@ func New(nav *coursenav.Navigator) *Server {
 		Usage:            usage.NewLog(4096),
 		Cache:            resultcache.New(DefaultCacheBytes),
 	}
-	s.nav.Store(nav)
 	def := &tenantState{id: tenant.Default, srv: s, def: true}
+	def.nav.Store(nav)
 	reg := map[string]*tenantState{tenant.Default: def}
 	s.registry.Store(&reg)
 
@@ -265,8 +261,8 @@ func New(nav *coursenav.Navigator) *Server {
 		{"GET /courses/{id}", s.handleCourse},
 		{"GET /options", s.handleOptions},
 		// Explore handlers manage the concurrency quotas themselves (via
-		// serveCached/runLimited): cache hits and coalesced followers
-		// never occupy an exploration slot.
+		// serveUnit/runUnit): cache hits and coalesced followers never
+		// occupy an exploration slot.
 		{"POST /explore/deadline", s.handleDeadline},
 		{"POST /explore/goal", s.handleGoal},
 		{"POST /explore/ranked", s.handleRanked},
@@ -442,12 +438,19 @@ type statusRecorder struct {
 	cohortDPReused   int64
 }
 
-func (r *statusRecorder) setExplore(window string, paths int64, stopped string) {
-	r.window, r.paths, r.stopped = window, paths, stopped
+// recorder returns the usage recorder wrapping w. Every routed request
+// has one (ServeHTTP installs it); a bare writer gets a throwaway, so
+// handlers driven directly still annotate safely.
+func recorder(w http.ResponseWriter) *statusRecorder {
+	if rec, ok := w.(*statusRecorder); ok {
+		return rec
+	}
+	return &statusRecorder{ResponseWriter: w}
 }
 
-func (r *statusRecorder) setDAG(nodes int64) {
-	r.dag, r.dagNodes = true, nodes
+// setExplore attaches exploration details to the request's usage event.
+func (r *statusRecorder) setExplore(window string, paths int64, stopped string) {
+	r.window, r.paths, r.stopped = window, paths, stopped
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -709,14 +712,19 @@ func (req *ExploreRequest) checkExtras(w http.ResponseWriter, endpoint string, w
 	return true
 }
 
-// goal resolves the request's goal spec, which must be present, against
-// the handler's catalog snapshot.
-func (s *Server) goal(nav *coursenav.Navigator, w http.ResponseWriter, req *ExploreRequest) (coursenav.Goal, bool) {
+// reqGoal resolves the request's goal spec, which must be present,
+// against the handler's catalog snapshot.
+func reqGoal(nav *coursenav.Navigator, req *ExploreRequest) (coursenav.Goal, error) {
 	if req.Goal == nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "missing goal")
-		return coursenav.Goal{}, false
+		return coursenav.Goal{}, errors.New("missing goal")
 	}
-	g, err := buildGoal(nav, *req.Goal)
+	return buildGoal(nav, *req.Goal)
+}
+
+// goal is reqGoal's writing form for the streaming branches, which
+// resolve the goal before admission: a failure is answered here.
+func (s *Server) goal(nav *coursenav.Navigator, w http.ResponseWriter, req *ExploreRequest) (coursenav.Goal, bool) {
+	g, err := reqGoal(nav, req)
 	if err != nil {
 		s.writeNavErr(w, err)
 		return coursenav.Goal{}, false
@@ -763,11 +771,11 @@ func (s *Server) runCtx(r *http.Request, b *BudgetSpec) (context.Context, contex
 	return s.unitCtx(r.Context(), b)
 }
 
-// unitCtx is runCtx's context-based core, shared with the cohort
-// pipeline: each cohort member's sub-exploration gets its own
-// RequestTimeout-capped (and brownout-clamped) context derived from the
-// job's, so one slow unit cannot consume the whole job's wall clock and
-// a cancelled job stops the running unit mid-engine.
+// unitCtx is runCtx's context-based core, which runUnit applies to
+// every unit: each one gets its own RequestTimeout-capped (and
+// brownout-clamped) context derived from its caller's, so one slow
+// cohort unit cannot consume the whole job's wall clock and a cancelled
+// job stops the running unit mid-engine.
 func (s *Server) unitCtx(ctx context.Context, b *BudgetSpec) (context.Context, context.CancelFunc) {
 	timeout := s.RequestTimeout
 	if timeout <= 0 {
@@ -809,7 +817,7 @@ func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 // ("graph" and "truncated" omitted on countOnly runs). Truncated reports
 // that the rendered graph was cut to MaxResponseNodes; a budget- or
 // cancel-truncated *run* is reported by summary.stopped instead. The
-// envelope is framed by writeExplore rather than marshalled whole.
+// envelope is framed by renderExploreBody rather than marshalled whole.
 
 type summaryBody struct {
 	Paths       int64   `json:"paths"`
@@ -842,35 +850,8 @@ func toSummaryBody(sum coursenav.Summary) summaryBody {
 	}
 }
 
-func (s *Server) respondGraph(w http.ResponseWriter, g *coursenav.Graph, sum coursenav.Summary, err error) {
-	if err != nil {
-		s.writeNavErr(w, err)
-		return
-	}
-	s.writeExplore(w, sum, g)
-}
-
-// writeExplore frames the explore envelope directly onto the response
-// writer, streaming the graph render to the socket as it is produced.
-// The old path buffered the whole render in a strings.Builder first,
-// holding up to MaxResponseNodes of JSON per in-flight request; here the
-// only full-buffer piece is the small summary header. A render failure
-// after the header has gone out can only be a dead socket — it is
-// recorded for usage (statusRecorder.writeErr) and the body abandoned.
-func (s *Server) writeExplore(w http.ResponseWriter, sum coursenav.Summary, g *coursenav.Graph) {
-	if _, err := json.Marshal(toSummaryBody(sum)); err != nil {
-		writeErr(w, http.StatusInternalServerError, CodeInternal, "rendering summary: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = s.renderExploreBody(w, sum, g)
-}
-
-// renderExploreBody writes the explore envelope body — the exact bytes
-// writeExplore puts on the wire after the 200 header — to any writer, so
-// the stream-population path (cache.go) can render an identical body into
-// a cache entry.
+// renderExploreBody writes the explore envelope body to any writer;
+// exploreRun (cache.go) renders every deadline/goal entry through it.
 func (s *Server) renderExploreBody(w io.Writer, sum coursenav.Summary, g *coursenav.Graph) error {
 	sumJSON, err := json.Marshal(toSummaryBody(sum))
 	if err != nil {
@@ -914,7 +895,8 @@ func (s *Server) handleDeadline(t *tenantState, w http.ResponseWriter, r *http.R
 		if !streamable(w, &req) {
 			return
 		}
-		release, ok := s.admitExplore(t, w, r, &req, "deadline")
+		k := t.unitKey(gen, "deadline", &req)
+		release, ok := s.admitExplore(t, w, r, k, &req)
 		if !ok {
 			return
 		}
@@ -926,29 +908,24 @@ func (s *Server) handleDeadline(t *tenantState, w http.ResponseWriter, r *http.R
 			return sum, err
 		})
 		if complete && collected != nil {
-			if key, ok := exploreKey(t.resultCache(), gen, "deadline", &req); ok {
-				t.resultCache().Put(key, s.graphEntry(req.Query, sum, collected, sum.Paths))
-			}
+			k.put(s.exploreRun(req.Query, sum, collected, sum.Paths))
 		}
 		return
 	}
-	s.serveCached(t, w, r, &req, "deadline", gen, func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := s.runCtx(r, req.Budget)
-		defer cancel()
+	s.serveUnit(t, w, r, &req, "deadline", gen, func(ctx context.Context) (unitRun, error) {
+		q := s.query(req.Query, req.Budget)
 		if req.Query.CountOnly {
-			sum, err := nav.DeadlineCountCtx(ctx, s.query(req.Query, req.Budget))
+			sum, err := nav.DeadlineCountCtx(ctx, q)
 			if err != nil {
-				s.writeNavErr(w, err)
-				return
+				return unitRun{}, err
 			}
-			annotate(w, req.Query, sum.Paths, sum.Stopped)
-			annotateDAG(w, sum)
-			s.writeExplore(w, sum, nil)
-			return
+			return s.exploreRun(req.Query, sum, nil, sum.Paths)
 		}
-		g, sum, err := nav.DeadlineCtx(ctx, s.query(req.Query, req.Budget))
-		annotate(w, req.Query, sum.Paths, sum.Stopped)
-		s.respondGraph(w, g, sum, err)
+		g, sum, err := nav.DeadlineCtx(ctx, q)
+		if err != nil {
+			return unitRun{}, err
+		}
+		return s.exploreRun(req.Query, sum, g, sum.Paths)
 	})
 }
 
@@ -971,7 +948,8 @@ func (s *Server) handleGoal(t *tenantState, w http.ResponseWriter, r *http.Reque
 		if !ok {
 			return
 		}
-		release, okAcq := s.admitExplore(t, w, r, &req, "goal")
+		k := t.unitKey(gen, "goal", &req)
+		release, okAcq := s.admitExplore(t, w, r, k, &req)
 		if !okAcq {
 			return
 		}
@@ -983,33 +961,28 @@ func (s *Server) handleGoal(t *tenantState, w http.ResponseWriter, r *http.Reque
 			return sum, err
 		})
 		if complete && collected != nil {
-			if key, ok := exploreKey(t.resultCache(), gen, "goal", &req); ok {
-				t.resultCache().Put(key, s.graphEntry(req.Query, sum, collected, sum.GoalPaths))
-			}
+			k.put(s.exploreRun(req.Query, sum, collected, sum.GoalPaths))
 		}
 		return
 	}
-	s.serveCached(t, w, r, &req, "goal", gen, func(w http.ResponseWriter, r *http.Request) {
-		goal, ok := s.goal(nav, w, &req)
-		if !ok {
-			return
+	s.serveUnit(t, w, r, &req, "goal", gen, func(ctx context.Context) (unitRun, error) {
+		goal, err := reqGoal(nav, &req)
+		if err != nil {
+			return unitRun{}, err
 		}
-		ctx, cancel := s.runCtx(r, req.Budget)
-		defer cancel()
+		q := s.query(req.Query, req.Budget)
 		if req.Query.CountOnly {
-			sum, err := nav.GoalPathsCountCtx(ctx, s.query(req.Query, req.Budget), goal)
+			sum, err := nav.GoalPathsCountCtx(ctx, q, goal)
 			if err != nil {
-				s.writeNavErr(w, err)
-				return
+				return unitRun{}, err
 			}
-			annotate(w, req.Query, sum.GoalPaths, sum.Stopped)
-			annotateDAG(w, sum)
-			s.writeExplore(w, sum, nil)
-			return
+			return s.exploreRun(req.Query, sum, nil, sum.GoalPaths)
 		}
-		g, sum, err := nav.GoalPathsCtx(ctx, s.query(req.Query, req.Budget), goal)
-		annotate(w, req.Query, sum.GoalPaths, sum.Stopped)
-		s.respondGraph(w, g, sum, err)
+		g, sum, err := nav.GoalPathsCtx(ctx, q, goal)
+		if err != nil {
+			return unitRun{}, err
+		}
+		return s.exploreRun(req.Query, sum, g, sum.GoalPaths)
 	})
 }
 
@@ -1034,7 +1007,8 @@ func (s *Server) handleRanked(t *tenantState, w http.ResponseWriter, r *http.Req
 		if !ok {
 			return
 		}
-		release, okAcq := s.admitExplore(t, w, r, &req, "ranked")
+		k := t.unitKey(gen, "ranked", &req)
+		release, okAcq := s.admitExplore(t, w, r, k, &req)
 		if !okAcq {
 			return
 		}
@@ -1057,33 +1031,27 @@ func (s *Server) handleRanked(t *tenantState, w http.ResponseWriter, r *http.Req
 			return nav.TopKStream(ctx, s.query(req.Query, req.Budget), goal, req.Ranking, req.K, collect)
 		})
 		if complete {
-			if key, ok := exploreKey(t.resultCache(), gen, "ranked", &req); ok {
-				t.resultCache().Put(key, s.rankedEntry(req.Query, sum, ranked))
-			}
+			k.put(jsonRun(req.Query, rankedResponse{Summary: toSummaryBody(sum), Paths: ranked}, int64(len(ranked)), ""))
 		}
 		return
 	}
-	s.serveCached(t, w, r, &req, "ranked", gen, func(w http.ResponseWriter, r *http.Request) {
-		goal, ok := s.goal(nav, w, &req)
-		if !ok {
-			return
+	s.serveUnit(t, w, r, &req, "ranked", gen, func(ctx context.Context) (unitRun, error) {
+		goal, err := reqGoal(nav, &req)
+		if err != nil {
+			return unitRun{}, err
 		}
-		ctx, cancel := s.runCtx(r, req.Budget)
-		defer cancel()
+		q := s.query(req.Query, req.Budget)
 		var paths []coursenav.Path
 		var sum coursenav.Summary
-		var err error
 		if len(req.Weights) > 0 {
-			paths, sum, err = nav.TopKWeightedCtx(ctx, s.query(req.Query, req.Budget), goal, req.Weights, req.K)
+			paths, sum, err = nav.TopKWeightedCtx(ctx, q, goal, req.Weights, req.K)
 		} else {
-			paths, sum, err = nav.TopKCtx(ctx, s.query(req.Query, req.Budget), goal, req.Ranking, req.K)
+			paths, sum, err = nav.TopKCtx(ctx, q, goal, req.Ranking, req.K)
 		}
 		if err != nil {
-			s.writeNavErr(w, err)
-			return
+			return unitRun{}, err
 		}
-		annotate(w, req.Query, int64(len(paths)), sum.Stopped)
-		writeJSON(w, http.StatusOK, rankedResponse{Summary: toSummaryBody(sum), Paths: paths})
+		return jsonRun(req.Query, rankedResponse{Summary: toSummaryBody(sum), Paths: paths}, int64(len(paths)), sum.Stopped)
 	})
 }
 
@@ -1126,6 +1094,18 @@ type whatIfResponse struct {
 	Stopped string `json:"stopped,omitempty"`
 }
 
+// whatIfRun scores the request's next-semester selections into the
+// whatif endpoint's body. The interactive endpoint and cohort replans
+// (cohort.go) share it, so a cohort-of-1 replan is byte-identical to
+// the interactive response.
+func (s *Server) whatIfRun(ctx context.Context, nav *coursenav.Navigator, goal coursenav.Goal, req *ExploreRequest) (unitRun, error) {
+	impacts, stopped, err := nav.CompareSelectionsCtx(ctx, s.query(req.Query, req.Budget), goal)
+	if err != nil {
+		return unitRun{}, err
+	}
+	return jsonRun(req.Query, whatIfResponse{Selections: impacts, Stopped: stopped}, int64(len(impacts)), stopped)
+}
+
 func (s *Server) handleWhatIf(t *tenantState, w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
 	if !decode(w, r, &req) {
@@ -1145,7 +1125,7 @@ func (s *Server) handleWhatIf(t *tenantState, w http.ResponseWriter, r *http.Req
 		if !ok {
 			return
 		}
-		release, okAcq := s.admitExplore(t, w, r, &req, "whatif")
+		release, okAcq := s.admitExplore(t, w, r, t.unitKey(gen, "whatif", &req), &req)
 		if !okAcq {
 			return
 		}
@@ -1156,19 +1136,11 @@ func (s *Server) handleWhatIf(t *tenantState, w http.ResponseWriter, r *http.Req
 		s.streamWhatIf(w, r, &req, nav, goal)
 		return
 	}
-	s.serveCached(t, w, r, &req, "whatif", gen, func(w http.ResponseWriter, r *http.Request) {
-		goal, ok := s.goal(nav, w, &req)
-		if !ok {
-			return
-		}
-		ctx, cancel := s.runCtx(r, req.Budget)
-		defer cancel()
-		impacts, stopped, err := nav.CompareSelectionsCtx(ctx, s.query(req.Query, req.Budget), goal)
+	s.serveUnit(t, w, r, &req, "whatif", gen, func(ctx context.Context) (unitRun, error) {
+		goal, err := reqGoal(nav, &req)
 		if err != nil {
-			s.writeNavErr(w, err)
-			return
+			return unitRun{}, err
 		}
-		annotate(w, req.Query, int64(len(impacts)), stopped)
-		writeJSON(w, http.StatusOK, whatIfResponse{Selections: impacts, Stopped: stopped})
+		return s.whatIfRun(ctx, nav, goal, &req)
 	})
 }

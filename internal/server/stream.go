@@ -159,7 +159,7 @@ func (s *Server) streamPaths(w http.ResponseWriter, r *http.Request, req *Explor
 		sw.paths++
 		return nil
 	})
-	annotate(w, req.Query, sw.paths, streamStopped(sum.Stopped, sw))
+	recorder(w).setExplore(window(req.Query), sw.paths, streamStopped(sum.Stopped, sw))
 	s.finishStream(w, sw, err, summaryRecord{Summary: toSummaryBody(sum)})
 	return sum, err == nil && sw.err == nil && sum.Stopped == ""
 }
@@ -194,7 +194,7 @@ func (s *Server) streamWhatIf(w http.ResponseWriter, r *http.Request, req *Explo
 		n++
 		return nil
 	})
-	annotate(w, req.Query, n, streamStopped(stopped, sw))
+	recorder(w).setExplore(window(req.Query), n, streamStopped(stopped, sw))
 	s.finishStream(w, sw, err, whatIfSummaryRecord{Summary: whatIfStreamSummary{Selections: n, Stopped: stopped}})
 }
 

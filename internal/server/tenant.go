@@ -8,11 +8,14 @@
 // one atomic pointer and never takes a lock, while mutations (manifest
 // loads, AddTenant) serialise on registryMu and publish a fresh map.
 //
-// The default tenant is special only in where its state lives: its
-// accessors delegate to the Server's exported nav/generation/Cache/
-// Loader fields, so everything that predates tenancy — tests, the CLI's
-// single-catalog flags, direct field pokes — keeps operating on the
-// default tenant without change.
+// The default tenant is an ordinary registry entry, except where the
+// Server's exported fields predate tenancy and stay its configuration:
+// its cache partition is Server.Cache, its reload source Server.Loader
+// (until a manifest entry re-points it) and its quota
+// TenantMaxConcurrent. Callers — the server command, tests, benchmark
+// harnesses — set those after New, so the default entry reads them at
+// use rather than copying them at construction; that is why exactly
+// those accessors keep a def branch.
 //
 // Isolation properties the tests pin down: a reload of tenant A
 // invalidates only A's cache partition (keys are per-partition, and
@@ -36,20 +39,19 @@ import (
 	"repro/internal/usage"
 )
 
-// tenantState is one tenant's live serving state. For the default tenant
-// (def == true) the navigator, generation, cache, loader and reload
-// mutex all live on the Server's exported fields and the local copies
-// below stay zero; accessors hide the split.
+// tenantState is one tenant's live serving state. For the default
+// tenant (def == true) the cache, loader and quota are read through the
+// Server's exported fields; see the package comment.
 type tenantState struct {
 	id  string
 	srv *Server
 	def bool
 
 	nav        atomic.Pointer[coursenav.Navigator]
-	generation atomic.Uint64
+	generation atomic.Uint64 // successful catalog swaps since start
 	cache      *resultcache.Cache
 	loader     Loader
-	reloadMu   sync.Mutex
+	reloadMu   sync.Mutex // serialises reload attempts
 
 	// maxConcurrent caps this tenant's in-flight explorations; 0 means no
 	// per-tenant quota (the global semaphore still applies). Fixed at
@@ -74,34 +76,9 @@ func (t *tenantState) breakerOpen() bool {
 	return until > 0 && time.Now().UnixNano() < until
 }
 
-func (t *tenantState) navigator() *coursenav.Navigator {
-	if t.def {
-		return t.srv.nav.Load()
-	}
-	return t.nav.Load()
-}
+func (t *tenantState) navigator() *coursenav.Navigator { return t.nav.Load() }
 
-func (t *tenantState) storeNav(nav *coursenav.Navigator) {
-	if t.def {
-		t.srv.nav.Store(nav)
-		return
-	}
-	t.nav.Store(nav)
-}
-
-func (t *tenantState) gen() uint64 {
-	if t.def {
-		return t.srv.generation.Load()
-	}
-	return t.generation.Load()
-}
-
-func (t *tenantState) bumpGen() uint64 {
-	if t.def {
-		return t.srv.generation.Add(1)
-	}
-	return t.generation.Add(1)
-}
+func (t *tenantState) gen() uint64 { return t.generation.Load() }
 
 // resultCache returns the tenant's cache partition (nil = caching off).
 func (t *tenantState) resultCache() *resultcache.Cache {
@@ -111,26 +88,13 @@ func (t *tenantState) resultCache() *resultcache.Cache {
 	return t.cache
 }
 
+// catalogLoader returns the tenant's reload source: the one a manifest
+// installed, else, for the default tenant, Server.Loader.
 func (t *tenantState) catalogLoader() Loader {
-	if t.def {
+	if t.def && t.loader == nil {
 		return t.srv.Loader
 	}
 	return t.loader
-}
-
-func (t *tenantState) setLoader(l Loader) {
-	if t.def {
-		t.srv.Loader = l
-		return
-	}
-	t.loader = l
-}
-
-func (t *tenantState) reloadMutex() *sync.Mutex {
-	if t.def {
-		return &t.srv.reloadMu
-	}
-	return &t.reloadMu
 }
 
 // acquireQuota reserves a slot in the tenant's concurrency quota. A
@@ -186,9 +150,7 @@ func (s *Server) defaultTenant() *tenantState {
 func (s *Server) withDefault(h tenantHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := s.defaultTenant()
-		if rec, ok := w.(*statusRecorder); ok {
-			rec.tenant = t.id
-		}
+		recorder(w).tenant = t.id
 		h(t, w, r)
 	}
 }
@@ -206,9 +168,7 @@ func (s *Server) withTenant(h tenantHandler) http.HandlerFunc {
 				"unknown tenant %q", id)
 			return
 		}
-		if rec, ok := w.(*statusRecorder); ok {
-			rec.tenant = t.id
-		}
+		recorder(w).tenant = t.id
 		h(t, w, r)
 	}
 }

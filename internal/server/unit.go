@@ -1,30 +1,78 @@
-// The unit-of-work layer: one canonical exploration executed through
-// the full serving pipeline — result cache, singleflight coalescing,
-// two-level cost-aware admission — without an http.ResponseWriter in
-// sight.
+// The serving pipeline: one canonical exploration executed through the
+// result cache, singleflight coalescing and two-level cost-aware
+// admission, without an http.ResponseWriter in sight.
 //
-// The interactive handlers grew this pipeline request-by-request
-// (serveCached keeps the HTTP-specific outer shell: stale-while-
-// revalidate, envelope errors, usage annotation). runUnit is the same
-// pipeline refactored for callers that issue MANY explorations per
-// request: the cohort endpoint replans each member as one unit here, so
-// every member is individually costed by the admission estimator,
-// individually budgeted (unitCtx), and keyed into the same result cache
-// interactive traffic uses — members sharing a canonical sub-request
-// coalesce with each other and with live interactive requests instead
-// of recomputing.
+// Every non-streaming exploration runs here. The explore handlers hand
+// runUnit an exec closure and keep only a thin HTTP shell (serveUnit in
+// cache.go: hit replay, brownout stale serving, the shed and error
+// envelopes). The cohort endpoint runs each member's sub-explorations
+// as units too, so every member is individually costed by the admission
+// estimator, individually budgeted (unitCtx) and keyed into the same
+// result cache: members sharing a canonical sub-request coalesce with
+// each other, and where a key space is shared with an interactive
+// endpoint ("whatif"), with live interactive requests.
 package server
 
 import (
 	"context"
-	"fmt"
+	"errors"
 
+	"repro/internal/admission"
 	"repro/internal/resultcache"
 )
 
-// unitShedError reports a unit refused by admission. Cohort records it
-// on the member and continues; batch callers can rate the shed via
-// Result (outcome string) and RetryAfter.
+// unitRun is what an exec produces: the rendered entry plus the run
+// annotations the pipeline publishes by and the usage log records.
+type unitRun struct {
+	ent      *resultcache.Entry
+	stopped  string // why the run ended early; "" for a complete run
+	dag      bool   // the DAG substrate answered the run (countOnly)
+	dagNodes int64  // distinct statuses that DAG run interned
+}
+
+// publishable is the one publish rule: a run is cached only when it
+// completed and its body fits the per-entry cap.
+func (u unitRun) publishable() bool {
+	return u.stopped == "" && len(u.ent.Body) <= maxCacheEntryBytes
+}
+
+// unitExec computes one unit under the context runUnit derived for it
+// (unitCtx: RequestTimeout, budget and brownout caps). A nil error
+// carries a non-nil entry.
+type unitExec func(ctx context.Context) (unitRun, error)
+
+// unitMode selects how a caller enters the pipeline.
+type unitMode uint8
+
+const (
+	// unitBatch probes the cache, then joins or leads a flight and
+	// queues for admission: cohort units.
+	unitBatch unitMode = iota
+	// unitProbed is unitBatch for a caller that already probed the cache
+	// (the HTTP shell, which must see the miss before brownout's stale
+	// check).
+	unitProbed
+	// unitRevalidate is brownout's background refresh: no probe, leader
+	// only, and admission that takes both levels without queueing.
+	unitRevalidate
+)
+
+// unitResult is runUnit's answer. A "hit" or "coalesced" result carries
+// only the entry: the run annotations belong to the run that produced
+// it.
+type unitResult struct {
+	unitRun
+	how       string            // "hit", "coalesced" or "miss"
+	admission admission.Outcome // the admission disposition of a computed unit
+}
+
+// errInFlight ends a revalidation that found an identical computation
+// already running.
+var errInFlight = errors.New("server: identical unit already in flight")
+
+// unitShedError reports a unit refused by admission. The HTTP shell
+// answers it (stale fallback, then writeShed); cohort records it on the
+// member and continues.
 type unitShedError struct {
 	res admitResult
 }
@@ -36,45 +84,39 @@ func (e *unitShedError) Error() string {
 	return "unit shed: " + e.res.outcome.String()
 }
 
-// shedResult exposes the admission decision behind a unit error, when
-// there is one.
-func shedResult(err error) (admitResult, bool) {
-	if se, ok := err.(*unitShedError); ok {
-		return se.res, true
-	}
-	return admitResult{}, false
-}
-
-// runUnit executes one canonicalized exploration unit against a
-// tenant's snapshot generation:
+// runUnit executes one canonicalized exploration unit:
 //
-//  1. cache Get — an identical completed unit replays instantly ("hit")
+//  1. cache Get — an identical completed unit replays ("hit"; unitBatch
+//     only)
 //  2. flight Join — an identical in-flight unit is awaited ("coalesced")
-//  3. admission — the unit is priced and admitted through the same
-//     two-level gate as an interactive request (shed → *unitShedError)
-//  4. exec computes the entry; cacheOK entries are published to the
-//     cache/flight for followers ("miss")
+//  3. admission — the tenant quota, then the global cost-aware queue
+//     (shed → *unitShedError)
+//  4. exec under unitCtx; a publishable run is handed to the flight's
+//     followers and cached ("miss")
 //
-// exec receives the caller's context and must apply its own unitCtx
-// budget. The returned entry is never nil on success; how is one of
-// "hit", "coalesced", "miss". A leader that fails finishes its flight
-// empty so followers compute individually rather than hang.
-func (s *Server) runUnit(ctx context.Context, t *tenantState, gen uint64, endpoint string, req *ExploreRequest, exec func(context.Context) (*resultcache.Entry, bool, error)) (*resultcache.Entry, string, error) {
-	cache := t.resultCache()
-	key, cacheable := exploreKey(cache, gen, endpoint, req)
+// A leader that fails, sheds or panics finishes its flight empty, so
+// followers compute individually rather than hang. A follower whose
+// context ends while it waits returns the context's error.
+func (s *Server) runUnit(ctx context.Context, t *tenantState, k unitKey, req *ExploreRequest, mode unitMode, exec unitExec) (unitResult, error) {
+	cache := k.cache
 	var flight *resultcache.Flight
 	leader := false
-	if cacheable {
-		if ent, ok := cache.Get(key); ok {
-			return ent, "hit", nil
+	if cache != nil {
+		if mode == unitBatch {
+			if ent, ok := cache.Get(k.key); ok {
+				return unitResult{unitRun: unitRun{ent: ent}, how: "hit"}, nil
+			}
 		}
-		flight, leader = cache.Join(key)
+		flight, leader = cache.Join(k.key)
 		if !leader {
+			if mode == unitRevalidate {
+				return unitResult{}, errInFlight
+			}
 			if ent := flight.Wait(ctx); ent != nil {
-				return ent, "coalesced", nil
+				return unitResult{unitRun: unitRun{ent: ent}, how: "coalesced"}, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, "", err
+				return unitResult{}, err
 			}
 			// The leader produced nothing cacheable (error, budget-stopped
 			// run, oversized render): compute individually.
@@ -82,35 +124,32 @@ func (s *Server) runUnit(ctx context.Context, t *tenantState, gen uint64, endpoi
 	}
 	finished := false
 	if leader {
-		// A panicking or failing exec must not leave followers blocked on
-		// the flight: finish it empty on any non-publishing exit.
 		defer func() {
 			if !finished {
-				cache.Finish(key, flight, nil)
+				cache.Finish(k.key, flight, nil)
 			}
 		}()
 	}
-	res, ok := s.admit(t, ctx, req, endpoint)
+	adm, ok := s.admit(ctx, t, k, req, mode != unitRevalidate)
 	if !ok {
-		return nil, "", &unitShedError{res: res}
+		return unitResult{}, &unitShedError{res: adm}
 	}
-	defer res.release()
-	ent, cacheOK, err := exec(ctx)
+	defer adm.release()
+	uctx, cancel := s.unitCtx(ctx, req.Budget)
+	run, err := exec(uctx)
+	cancel()
 	if err != nil {
-		return nil, "", err
+		return unitResult{}, err
 	}
-	if ent == nil {
-		return nil, "", fmt.Errorf("server: unit exec returned no entry")
-	}
-	publish := ent
-	if !cacheOK {
-		publish = nil
+	var publish *resultcache.Entry
+	if run.publishable() {
+		publish = run.ent
 	}
 	if leader {
-		cache.Finish(key, flight, publish)
+		cache.Finish(k.key, flight, publish)
 		finished = true
-	} else if cacheable && publish != nil {
-		cache.Put(key, publish)
+	} else if cache != nil && publish != nil {
+		cache.Put(k.key, publish)
 	}
-	return ent, "miss", nil
+	return unitResult{unitRun: run, how: "miss", admission: adm.outcome}, nil
 }
