@@ -207,7 +207,7 @@ func (s *Server) serveUnit(t *tenantState, w http.ResponseWriter, r *http.Reques
 			}
 		}
 	}
-	res, err := s.runUnit(r.Context(), t, k, req, unitProbed, exec)
+	res, err := s.runUnit(r.Context(), t, k, req, false, exec)
 	// runUnit returns a shed bare; a type assertion, unlike errors.As,
 	// costs the miss path no allocation.
 	if se, ok := err.(*unitShedError); ok {
@@ -283,7 +283,7 @@ func replayStale(w http.ResponseWriter, ent *resultcache.Entry) {
 
 // revalidate computes a fresh answer for a stale-served request in the
 // background — the stale-while-revalidate half of brownout mode. It is
-// strictly best-effort: as a unitRevalidate unit it runs only when no
+// strictly best-effort: as a revalidating unit it runs only when no
 // identical computation is already in flight and both admission levels
 // (the tenant quota included) have a slot free without queueing —
 // degraded means slots are scarce. Its run time feeds the estimator
@@ -296,7 +296,7 @@ func (s *Server) revalidate(t *tenantState, k unitKey, req *ExploreRequest, exec
 			log.Printf("server: tenant %s: panic in background revalidation: %v", t.id, p)
 		}
 	}()
-	_, _ = s.runUnit(context.Background(), t, k, req, unitRevalidate, exec)
+	_, _ = s.runUnit(context.Background(), t, k, req, true, exec)
 }
 
 // window labels a query's exploration window for usage and cache

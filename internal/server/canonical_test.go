@@ -1,17 +1,19 @@
 package server
 
 import (
+	"crypto/sha256"
 	"net/http"
 	"testing"
 
 	"repro"
+	"repro/internal/resultcache"
 	"repro/internal/tenant"
 )
 
 // canonKey canonicalizes req against the server's snapshot and derives
 // both of its keys — the cache key and the admission cost key — from
 // the default tenant, failing the test when either is unusable.
-func canonKey(t *testing.T, s *Server, endpoint string, req *ExploreRequest) interface{} {
+func canonKey(t *testing.T, s *Server, endpoint string, req *ExploreRequest) (resultcache.Key, [sha256.Size]byte) {
 	t.Helper()
 	canonicalize(s.Navigator(), req)
 	k := s.defaultTenant().unitKey(0, endpoint, req)
@@ -19,7 +21,21 @@ func canonKey(t *testing.T, s *Server, endpoint string, req *ExploreRequest) int
 	if k.cache == nil || !ok {
 		t.Fatal("unitKey unusable on a cache-enabled server")
 	}
-	return [2]interface{}{k.key, cost}
+	return k.key, cost
+}
+
+// assertSeparate fails the test unless the two requests differ in their
+// cache key and, checked on its own, in their cost key.
+func assertSeparate(t *testing.T, s *Server, what, endpointA string, a *ExploreRequest, endpointB string, b *ExploreRequest) {
+	t.Helper()
+	keyA, costA := canonKey(t, s, endpointA, a)
+	keyB, costB := canonKey(t, s, endpointB, b)
+	if keyA == keyB {
+		t.Fatalf("%s share a cache key", what)
+	}
+	if costA == costB {
+		t.Fatalf("%s share a cost key", what)
+	}
 }
 
 // TestCanonicalKeyEquality: requests that differ only in list order,
@@ -39,7 +55,7 @@ func TestCanonicalKeyEquality(t *testing.T) {
 			Goal: &GoalSpec{Courses: []string{"COSI 127B", "COSI 130A"}},
 		}
 	}
-	want := canonKey(t, s, "goal", base())
+	wantKey, wantCost := canonKey(t, s, "goal", base())
 	variants := map[string]*ExploreRequest{
 		"reordered completed": {
 			Query: QuerySpec{Completed: []string{"COSI 21A", "COSI 11A"}, Start: "Fall 2013", End: "Fall 2015", Avoid: []string{"COSI 30A"}},
@@ -63,8 +79,12 @@ func TestCanonicalKeyEquality(t *testing.T) {
 		},
 	}
 	for name, req := range variants {
-		if got := canonKey(t, s, "goal", req); got != want {
-			t.Errorf("%s: key diverged from base", name)
+		key, cost := canonKey(t, s, "goal", req)
+		if key != wantKey {
+			t.Errorf("%s: cache key diverged from base", name)
+		}
+		if cost != wantCost {
+			t.Errorf("%s: cost key diverged from base", name)
 		}
 	}
 	// The cost key ignores the snapshot generation: observed run times
@@ -91,21 +111,15 @@ func TestCanonicalKeySeparation(t *testing.T) {
 	s := New(nav)
 	a := &ExploreRequest{Query: QuerySpec{Start: "Fall 2013", End: "Fall 2015"}, Goal: &GoalSpec{Courses: []string{"COSI 11A"}}}
 	b := &ExploreRequest{Query: QuerySpec{Start: "Fall 2013", End: "Fall 2015"}, Goal: &GoalSpec{Courses: []string{"COSI 21A"}}}
-	if canonKey(t, s, "goal", a) == canonKey(t, s, "goal", b) {
-		t.Fatal("different goals share a key")
-	}
+	assertSeparate(t, s, "different goals", "goal", a, "goal", b)
 	g1 := &ExploreRequest{Query: QuerySpec{Start: "Fall 2013", End: "Fall 2015"},
 		Goal: &GoalSpec{Degree: []coursenav.DegreeGroup{{Name: "core", Count: 1, Courses: []string{"COSI 11A", "COSI 21A"}}}}}
 	g2 := &ExploreRequest{Query: QuerySpec{Start: "Fall 2013", End: "Fall 2015"},
 		Goal: &GoalSpec{Degree: []coursenav.DegreeGroup{{Name: "core", Count: 1, Courses: []string{"COSI 21A", "COSI 11A"}}}}}
-	if canonKey(t, s, "goal", g1) == canonKey(t, s, "goal", g2) {
-		t.Fatal("reordered degree group shares a key (group order is meaningful)")
-	}
+	assertSeparate(t, s, "reordered degree groups (group order is meaningful)", "goal", g1, "goal", g2)
 	// The same canonical request under different endpoints never collides.
 	c := &ExploreRequest{Query: QuerySpec{Start: "Fall 2013", End: "Fall 2015"}}
-	if canonKey(t, s, "deadline", c) == canonKey(t, s, "goal", c) {
-		t.Fatal("endpoints share a key")
-	}
+	assertSeparate(t, s, "endpoints", "deadline", c, "goal", c)
 	// The estimator is one map across tenants, so the cost key carries
 	// the tenant itself.
 	k := s.defaultTenant().unitKey(0, "goal", c)

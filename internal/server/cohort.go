@@ -361,8 +361,8 @@ func (s *Server) cohortMembers(nav *coursenav.Navigator, cat *catalog.Catalog, r
 
 // serverPlanner threads cohort units through the serving pipeline:
 // each unit is an ExploreRequest in the same canonical form the
-// interactive handlers produce, run through runUnit (cache → coalesce →
-// admission → exec). Variant selection maps to endpoint key spaces: the
+// interactive handlers produce, probed against the cache and otherwise
+// run through runUnit (coalesce → admission → exec). Variant selection maps to endpoint key spaces: the
 // base catalog and an empty scenario use the unit's base space, while a
 // non-empty delta and each Monte-Carlo sample get digest-suffixed
 // spaces of their own.
@@ -414,10 +414,16 @@ func (p *serverPlanner) unitReq(m cohort.Member, end string, countOnly bool) *Ex
 	return &ExploreRequest{Query: qs, Goal: &goal, Budget: p.budget}
 }
 
-// run executes one unit through runUnit under the job's tenant and
-// snapshot generation.
+// run executes one unit under the job's tenant and snapshot generation:
+// a cache hit replays, anything else goes through runUnit.
 func (p *serverPlanner) run(ctx context.Context, endpoint string, req *ExploreRequest, exec unitExec) (unitResult, error) {
-	return p.s.runUnit(ctx, p.t, p.t.unitKey(p.gen, endpoint, req), req, unitBatch, exec)
+	k := p.t.unitKey(p.gen, endpoint, req)
+	if k.cache != nil {
+		if ent, ok := k.cache.Get(k.key); ok {
+			return unitResult{unitRun: unitRun{ent: ent}, how: "hit"}, nil
+		}
+	}
+	return p.s.runUnit(ctx, p.t, k, req, false, exec)
 }
 
 // substrateBody is the cached body of a shared-substrate counting unit:

@@ -41,22 +41,6 @@ func (u unitRun) publishable() bool {
 // carries a non-nil entry.
 type unitExec func(ctx context.Context) (unitRun, error)
 
-// unitMode selects how a caller enters the pipeline.
-type unitMode uint8
-
-const (
-	// unitBatch probes the cache, then joins or leads a flight and
-	// queues for admission: cohort units.
-	unitBatch unitMode = iota
-	// unitProbed is unitBatch for a caller that already probed the cache
-	// (the HTTP shell, which must see the miss before brownout's stale
-	// check).
-	unitProbed
-	// unitRevalidate is brownout's background refresh: no probe, leader
-	// only, and admission that takes both levels without queueing.
-	unitRevalidate
-)
-
 // unitResult is runUnit's answer. A "hit" or "coalesced" result carries
 // only the entry: the run annotations belong to the run that produced
 // it.
@@ -84,32 +68,30 @@ func (e *unitShedError) Error() string {
 	return "unit shed: " + e.res.outcome.String()
 }
 
-// runUnit executes one canonicalized exploration unit:
+// runUnit executes one canonicalized exploration unit whose caller has
+// already missed the cache:
 //
-//  1. cache Get — an identical completed unit replays ("hit"; unitBatch
-//     only)
-//  2. flight Join — an identical in-flight unit is awaited ("coalesced")
-//  3. admission — the tenant quota, then the global cost-aware queue
+//  1. flight Join — an identical in-flight unit is awaited ("coalesced")
+//  2. admission — the tenant quota, then the global cost-aware queue
 //     (shed → *unitShedError)
-//  4. exec under unitCtx; a publishable run is handed to the flight's
+//  3. exec under unitCtx; a publishable run is handed to the flight's
 //     followers and cached ("miss")
+//
+// revalidate marks brownout's background refresh: it only leads
+// (errInFlight when an identical unit is already running) and takes
+// both admission levels without queueing.
 //
 // A leader that fails, sheds or panics finishes its flight empty, so
 // followers compute individually rather than hang. A follower whose
 // context ends while it waits returns the context's error.
-func (s *Server) runUnit(ctx context.Context, t *tenantState, k unitKey, req *ExploreRequest, mode unitMode, exec unitExec) (unitResult, error) {
+func (s *Server) runUnit(ctx context.Context, t *tenantState, k unitKey, req *ExploreRequest, revalidate bool, exec unitExec) (unitResult, error) {
 	cache := k.cache
 	var flight *resultcache.Flight
 	leader := false
 	if cache != nil {
-		if mode == unitBatch {
-			if ent, ok := cache.Get(k.key); ok {
-				return unitResult{unitRun: unitRun{ent: ent}, how: "hit"}, nil
-			}
-		}
 		flight, leader = cache.Join(k.key)
 		if !leader {
-			if mode == unitRevalidate {
+			if revalidate {
 				return unitResult{}, errInFlight
 			}
 			if ent := flight.Wait(ctx); ent != nil {
@@ -130,14 +112,14 @@ func (s *Server) runUnit(ctx context.Context, t *tenantState, k unitKey, req *Ex
 			}
 		}()
 	}
-	adm, ok := s.admit(ctx, t, k, req, mode != unitRevalidate)
+	adm, ok := s.admit(ctx, t, k, req, !revalidate)
 	if !ok {
 		return unitResult{}, &unitShedError{res: adm}
 	}
 	defer adm.release()
 	uctx, cancel := s.unitCtx(ctx, req.Budget)
+	defer cancel()
 	run, err := exec(uctx)
-	cancel()
 	if err != nil {
 		return unitResult{}, err
 	}
