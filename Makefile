@@ -86,9 +86,9 @@ bench-smoke:
 # installed (CI installs it), a human-readable delta is printed too.
 # Keep the -bench pattern and -benchtime in sync with bench-baseline —
 # allocs/op amortisation depends on the iteration count.
-BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|DAGCount$$|DAGWhatIf$$|MultiHorizonProbe$$
+BENCH_GATE = GoalStream$$|GoalMaterialize$$|FrontierHeapGeneric$$|FrontierHeapBoxed$$|ExploreCold$$|ExploreWarm$$|ExploreCoalesced$$|CohortReplanCold$$|CohortReplanWarm$$|CohortSharedCold$$|CohortSharedWarm$$|CohortSynthesize$$|DAGCount$$|DAGWhatIf$$|MultiHorizonProbe$$
 BENCH_DIR  = .bench
-BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x ./internal/explore/ ./internal/server/
+BENCH_RUN  = $(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 20x ./internal/explore/ ./internal/server/ ./internal/cohort/
 
 bench-regress:
 	@mkdir -p $(BENCH_DIR)

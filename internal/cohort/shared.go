@@ -3,7 +3,6 @@ package cohort
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro"
@@ -39,7 +38,7 @@ type SharedPlanner struct {
 	// overrides Query.End.
 	Query coursenav.Query
 	// MaxStatuses bounds each counter's interned statuses (0 = the
-	// engine default, ~1M statuses ≈ 200 MB); over budget a counter
+	// engine default, ~1M statuses ≈ 130 MB); over budget a counter
 	// answers, then evicts wholesale.
 	MaxStatuses int64
 	// Unit, when set, threads each counting unit's substrate execution
@@ -53,7 +52,7 @@ type SharedPlanner struct {
 
 	mu       sync.Mutex
 	goals    map[*coursenav.Navigator]coursenav.Goal
-	counters map[string]*coursenav.SharedCounter
+	counters map[counterKey]*coursenav.SharedCounter
 }
 
 // SharedCount is one substrate execution's outcome, handed to the
@@ -102,31 +101,43 @@ type SharedPlannerStats struct {
 	Statuses, Builds, Evictions int64
 }
 
-func (p *SharedPlanner) nav(v Variant) (*coursenav.Navigator, string, error) {
+func (p *SharedPlanner) nav(v Variant) (*coursenav.Navigator, error) {
 	switch v.Kind {
 	case KindScenario:
-		return p.Scenario, "s", nil
+		return p.Scenario, nil
 	case KindBase:
-		return p.Base, "b", nil
+		return p.Base, nil
 	case KindSample:
 		if v.Sample < 0 || v.Sample >= len(p.Samples) {
-			return nil, "", fmt.Errorf("cohort: sample %d out of range", v.Sample)
+			return nil, fmt.Errorf("cohort: sample %d out of range", v.Sample)
 		}
-		return p.Samples[v.Sample], fmt.Sprintf("m%d", v.Sample), nil
+		return p.Samples[v.Sample], nil
 	}
-	return nil, "", fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
+	return nil, fmt.Errorf("cohort: unknown variant kind %d", v.Kind)
+}
+
+// counterKey identifies one shared counter: the variant, its deadline
+// and its horizon. It is comparable, so a lookup builds no string.
+type counterKey struct {
+	v       Variant
+	end     string
+	horizon int
 }
 
 // counterFor resolves (variant, end, horizon) to its shared counter,
 // creating it lazily. The horizon-extended scenario counter is a
 // separate (larger) substrate created only when the first member
 // actually strands — an all-on-time cohort never pays for it.
-func (p *SharedPlanner) counterFor(nav *coursenav.Navigator, vid, end string, horizon int) (*coursenav.SharedCounter, error) {
-	key := vid + "|" + end + "|" + strconv.Itoa(horizon)
+func (p *SharedPlanner) counterFor(v Variant, end string, horizon int) (*coursenav.SharedCounter, error) {
+	key := counterKey{v: v, end: end, horizon: horizon}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c, ok := p.counters[key]; ok {
 		return c, nil
+	}
+	nav, err := p.nav(v)
+	if err != nil {
+		return nil, err
 	}
 	goal, ok := p.goals[nav]
 	if !ok {
@@ -148,7 +159,7 @@ func (p *SharedPlanner) counterFor(nav *coursenav.Navigator, vid, end string, ho
 		return nil, err
 	}
 	if p.counters == nil {
-		p.counters = map[string]*coursenav.SharedCounter{}
+		p.counters = map[counterKey]*coursenav.SharedCounter{}
 	}
 	p.counters[key] = c
 	return c, nil
@@ -159,11 +170,7 @@ func (p *SharedPlanner) counterFor(nav *coursenav.Navigator, vid, end string, ho
 // wrapper the execution also flows through the serving pipeline, so
 // cache hits and coalesced flights behave exactly as the per-unit path.
 func (p *SharedPlanner) Count(ctx context.Context, m Member, end string, v Variant) (CountResult, error) {
-	nav, vid, err := p.nav(v)
-	if err != nil {
-		return CountResult{}, err
-	}
-	c, err := p.counterFor(nav, vid, end, 0)
+	c, err := p.counterFor(v, end, 0)
 	if err != nil {
 		return CountResult{}, err
 	}
@@ -190,11 +197,7 @@ func (p *SharedPlanner) Count(ctx context.Context, m Member, end string, v Varia
 // lower bound — a unit that cannot finish inside its context deadline
 // fails with an error instead (recorded on the member).
 func (p *SharedPlanner) CountHorizons(ctx context.Context, m Member, end string, horizon int, v Variant) (HorizonCounts, error) {
-	nav, vid, err := p.nav(v)
-	if err != nil {
-		return HorizonCounts{}, err
-	}
-	c, err := p.counterFor(nav, vid, end, horizon)
+	c, err := p.counterFor(v, end, horizon)
 	if err != nil {
 		return HorizonCounts{}, err
 	}

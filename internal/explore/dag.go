@@ -63,6 +63,9 @@ var ErrSubstrateDAGMaterialize = errors.New("explore: the DAG substrate cannot m
 // exactly once — by whichever expansion first reaches the status — and
 // classified at creation; edge-mode expansion fills its edge list once.
 type dagNode struct {
+	// key is the node's interning key, (Term, Completed) — stored here,
+	// not in the intern table (see internTableOf).
+	key status.MapKey
 	// prefix is the forward-DP value (counting mode): the number of
 	// root→status path prefixes. The parallel builder adds to it
 	// atomically; the level barrier makes it final before it is read.

@@ -17,10 +17,13 @@ import (
 //   - nodeSlabOf: chunked, pointer-stable bulk allocation of nodes, so a
 //     multi-million-node build costs thousands of allocations, not millions,
 //     while a few-hundred-node build allocates a few tens of kilobytes.
-//   - internTableOf: an open-addressed hash table with the 8-byte hashes in
-//     their own probe array (8 slots per cache line) and the key/pointer
-//     payload touched only on a hash match, so a probe costs ~1 cache miss
-//     and a hit ~2 — versus several for a runtime map at this key size.
+//   - internTableOf: an open-addressed hash table whose slots are (hash,
+//     node reference) pairs — 16 bytes, the 8-byte hashes in their own
+//     probe array (8 slots per cache line) — with each 56-byte key stored
+//     once, in its node, and read only on a hash match. A probe costs ~1
+//     cache miss and a hit ~2, versus several for a runtime map at this
+//     key size, and the table's empty slots (up to 5/8 of it) cost 16
+//     bytes each rather than the 72 a key-carrying slot would.
 //   - dagInternShards: 64 lock-striped internTables for the parallel
 //     builder, sharded by the hash's top bits (the probe uses the low
 //     bits, so shard choice and probe order stay independent).
@@ -78,73 +81,79 @@ func dagHash(k status.MapKey) uint64 {
 	return h
 }
 
-// internSlotOf is an internTableOf payload entry: the full key (verified
-// on hash match, so a 64-bit hash collision can never merge two distinct
-// statuses) and the interned node.
-type internSlotOf[T any] struct {
-	key status.MapKey
-	n   *T
+// interned is internTableOf's node contract: a node reference whose node
+// stores its own interning key (written by insert), so a hash collision
+// can never merge two distinct statuses.
+type interned interface {
+	comparable
+	internKey() *status.MapKey
 }
 
 // internTableOf is the open-addressed status interner: linear probing over
-// the hashes array, payload verified only on a hash match. Entries are
-// never deleted, so no tombstones are needed. The zero value is an empty
-// table ready for use.
-type internTableOf[T any] struct {
+// the hashes array, the node's key verified only on a hash match. Entries
+// are never deleted, so no tombstones are needed. The zero value is an
+// empty table ready for use.
+type internTableOf[N interned] struct {
 	mask   uint64
 	hashes []uint64 // probe array; 0 = empty slot
-	slots  []internSlotOf[T]
+	refs   []N
 	n      int
 }
 
 // internTable is the one-shot DAG builder's interner.
-type internTable = internTableOf[dagNode]
+type internTable = internTableOf[*dagNode]
 
-// internMinSize is the table's first size (18 KB of hashes and slots),
-// matched to the slab's first chunk: a build of up to 192 statuses never
-// grows it, and a few-hundred-status one doubles it once or twice.
+func (n *dagNode) internKey() *status.MapKey { return &n.key }
+
+// internMinSize is the table's first size (4 KB of hashes and
+// references), matched to the slab's first chunk: a build of up to 192
+// statuses never grows it, and a few-hundred-status one doubles it once
+// or twice.
 const internMinSize = 1 << 8
 
-// lookup returns the node interned under (h, k), or nil.
-func (t *internTableOf[T]) lookup(h uint64, k status.MapKey) *T {
+// lookup returns the node interned under (h, k), or the zero N.
+func (t *internTableOf[N]) lookup(h uint64, k status.MapKey) N {
+	var none N
 	if t.n == 0 {
-		return nil
+		return none
 	}
 	i := h & t.mask
 	for {
 		switch hh := t.hashes[i]; {
 		case hh == 0:
-			return nil
-		case hh == h && t.slots[i].key == k:
-			return t.slots[i].n
+			return none
+		case hh == h && *t.refs[i].internKey() == k:
+			return t.refs[i]
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// insert adds (h, k) → n. The key must not already be present (callers
-// always lookup first); growth keeps the load factor under 3/4.
-func (t *internTableOf[T]) insert(h uint64, k status.MapKey, n *T) {
+// insert adds (h, k) → n, storing k in n. The key must not already be
+// present (callers always lookup first); growth keeps the load factor
+// under 3/4.
+func (t *internTableOf[N]) insert(h uint64, k status.MapKey, n N) {
 	if (t.n+1)*4 > len(t.hashes)*3 {
 		t.grow()
 	}
+	*n.internKey() = k
 	i := h & t.mask
 	for t.hashes[i] != 0 {
 		i = (i + 1) & t.mask
 	}
 	t.hashes[i] = h
-	t.slots[i] = internSlotOf[T]{key: k, n: n}
+	t.refs[i] = n
 	t.n++
 }
 
-func (t *internTableOf[T]) grow() {
+func (t *internTableOf[N]) grow() {
 	size := internMinSize
 	if len(t.hashes) > 0 {
 		size = len(t.hashes) * 2
 	}
-	oldH, oldS := t.hashes, t.slots
+	oldH, oldR := t.hashes, t.refs
 	t.hashes = make([]uint64, size)
-	t.slots = make([]internSlotOf[T], size)
+	t.refs = make([]N, size)
 	t.mask = uint64(size - 1)
 	for j, h := range oldH {
 		if h == 0 {
@@ -155,15 +164,15 @@ func (t *internTableOf[T]) grow() {
 			i = (i + 1) & t.mask
 		}
 		t.hashes[i] = h
-		t.slots[i] = oldS[j]
+		t.refs[i] = oldR[j]
 	}
 }
 
 // each calls fn for every entry, in table order.
-func (t *internTableOf[T]) each(fn func(h uint64, k status.MapKey, n *T)) {
+func (t *internTableOf[N]) each(fn func(h uint64, k status.MapKey, n N)) {
 	for j, h := range t.hashes {
 		if h != 0 {
-			fn(h, t.slots[j].key, t.slots[j].n)
+			fn(h, *t.refs[j].internKey(), t.refs[j])
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package explore
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/brandeis"
+	"repro/internal/degree"
 	"repro/internal/status"
+	"repro/internal/term"
 )
 
 // TestNodeSlabGrowth pins the slab's contract across chunk growth: chunks
@@ -56,6 +59,14 @@ func TestNodeSlabGrowth(t *testing.T) {
 	}
 }
 
+// internTestNode is a minimal interned payload for the table tests.
+type internTestNode struct {
+	key status.MapKey
+	v   int
+}
+
+func (n *internTestNode) internKey() *status.MapKey { return &n.key }
+
 // TestInternTableMatchesMap drives the interner from an empty table
 // (first size internMinSize) through several doublings with a random
 // insert/lookup sequence and checks every answer against a map. A second
@@ -69,8 +80,8 @@ func TestInternTableMatchesMap(t *testing.T) {
 	for name, hash := range hashes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
-			var tab internTableOf[int]
-			ref := map[status.MapKey]*int{}
+			var tab internTableOf[*internTestNode]
+			ref := map[status.MapKey]*internTestNode{}
 			key := func() status.MapKey {
 				set := bitset.New(64)
 				for i := rng.Intn(4); i > 0; i-- {
@@ -90,9 +101,9 @@ func TestInternTableMatchesMap(t *testing.T) {
 					t.Fatalf("step %d: lookup = %p, map has %p", i, got, want)
 				}
 				if want == nil && len(ref) < n {
-					v := i
-					tab.insert(h, k, &v)
-					ref[k] = &v
+					v := &internTestNode{v: i}
+					tab.insert(h, k, v)
+					ref[k] = v
 				}
 			}
 			if tab.n != len(ref) {
@@ -102,7 +113,7 @@ func TestInternTableMatchesMap(t *testing.T) {
 				t.Fatalf("table never grew past its first size %d", internMinSize)
 			}
 			seen := 0
-			tab.each(func(h uint64, k status.MapKey, p *int) {
+			tab.each(func(h uint64, k status.MapKey, p *internTestNode) {
 				seen++
 				if ref[k] != p || hash(k) != h {
 					t.Errorf("each yielded %v → %p (hash %x), map has %p (hash %x)", k, p, h, ref[k], hash(k))
@@ -152,4 +163,56 @@ func TestDAGCountFootprint(t *testing.T) {
 		t.Fatalf("2-semester goal count (%d statuses) allocated %d bytes, ceiling %d", res.Nodes, best, ceiling)
 	}
 	t.Logf("2-semester goal count: %d statuses, %d bytes", res.Nodes, best)
+}
+
+// TestSharedCounterFootprint guards the shared substrate's storage: an
+// interned status costs at most 140 bytes all told (node with its key,
+// table slot, vector, arena sets) once a counter holds tens of thousands,
+// and a counter of a handful of statuses — most of a cohort job's
+// variant counters — stays far below a fixed deep-window chunk. Live
+// heap is measured after GC, with the counter still reachable.
+func TestSharedCounterFootprint(t *testing.T) {
+	cat := brandeis.Catalog()
+	major, err := brandeis.Major(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MaxPerTerm: 3}
+	live := func(goal degree.Goal, start term.Term, end term.Term) (statuses, bytes int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sc, err := NewSharedCounter(cat, end, 1, goal, PaperPruners(cat, goal, opt.MaxPerTerm), opt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Counts(context.Background(), emptyStart(cat, start)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		statuses = sc.Stats().Statuses
+		runtime.KeepAlive(sc)
+		return statuses, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+
+	// The major over Fall 2013 → Fall 2015: about 35k statuses.
+	n, b := live(major, f11.Add(4), f11.Add(8))
+	if n < 20_000 {
+		t.Fatalf("large counter interned only %d statuses", n)
+	}
+	if per := b / n; per > 140 {
+		t.Errorf("%d statuses cost %d B each, ceiling 140", n, per)
+	}
+	t.Logf("large counter: %d statuses, %d B each", n, b/n)
+
+	// One semester before the deadline: a few statuses.
+	n, b = live(mustGoalSet(t, cat, "COSI 21A", "COSI 29A"), f11.Add(7), f11.Add(8))
+	if n > 16 {
+		t.Fatalf("small counter interned %d statuses", n)
+	}
+	if b > 64<<10 {
+		t.Errorf("%d-status counter costs %d B, ceiling 64 KiB", n, b)
+	}
+	t.Logf("small counter: %d statuses, %d B", n, b)
 }

@@ -41,39 +41,63 @@ import (
 //     call starts cold, which trades latency for the bound.
 
 // defaultSharedStatuses bounds a SharedCounter's interned statuses when
-// the caller passes no budget. At ~200 bytes per interned status
-// (table slot + node + vector + arena sets) this is roughly 200 MB.
+// the caller passes no budget. At ~130 bytes per interned status (node,
+// table slot, vector and arena sets) this is roughly 130 MB.
 const defaultSharedStatuses = 1 << 20
 
 // sharedNode is one interned status's memoised tally vector. vec[0] is
 // the number of maximal paths from the status under the farthest
 // deadline; vec[1+h] the number of goal-reaching paths under deadline
 // end+h. The status itself is not retained — only the key identifies it.
+// The vector lives in the counter's vecSlab; the node holds its 8-byte
+// position rather than a 24-byte slice header.
 type sharedNode struct {
-	vec []int64
+	key status.MapKey
+	vec vecRef
 }
 
-// vecChunk is the vector slab chunk size, in int64s.
-const vecChunk = 1 << 15
+func (n *sharedNode) internKey() *status.MapKey { return &n.key }
+
+// Vector slab chunks grow geometrically, like nodeSlabOf's: the first
+// holds vecFirstChunk int64s and each later one twice its predecessor,
+// up to vecChunk. A cohort job builds a counter per catalog variant and
+// deadline, most of them small, so a fixed chunk sized for the deep
+// tail (256 KiB) would dominate a few-status counter.
+const (
+	vecFirstChunk = 1 << 8
+	vecChunk      = 1 << 15
+)
 
 // vecSlab bulk-allocates tally vectors. Like nodeSlabOf, chunks are
 // never reallocated, so handed-out vectors stay valid until the counter
 // is evicted wholesale.
 type vecSlab struct {
-	buf []int64
+	chunks [][]int64
 }
 
-func (s *vecSlab) alloc(stride int) []int64 {
-	if cap(s.buf)-len(s.buf) < stride {
-		n := vecChunk
-		if stride > n {
-			n = stride
+// vecRef is a vector's position in its vecSlab.
+type vecRef struct {
+	chunk, off uint32
+}
+
+func (s *vecSlab) alloc(stride int) (vecRef, []int64) {
+	k := len(s.chunks)
+	if k == 0 || cap(s.chunks[k-1])-len(s.chunks[k-1]) < stride {
+		size := vecFirstChunk
+		if k > 0 {
+			size = min(2*cap(s.chunks[k-1]), vecChunk)
 		}
-		s.buf = make([]int64, 0, n)
+		s.chunks = append(s.chunks, make([]int64, 0, max(size, stride)))
 	}
-	v := s.buf[len(s.buf) : len(s.buf)+stride : len(s.buf)+stride]
-	s.buf = s.buf[:len(s.buf)+stride]
-	return v
+	c := &s.chunks[len(s.chunks)-1]
+	ref := vecRef{chunk: uint32(len(s.chunks) - 1), off: uint32(len(*c))}
+	*c = (*c)[:len(*c)+stride]
+	return ref, s.at(ref, stride)
+}
+
+// at returns the stride-long vector at ref.
+func (s *vecSlab) at(ref vecRef, stride int) []int64 {
+	return s.chunks[ref.chunk][ref.off : int(ref.off)+stride : int(ref.off)+stride]
 }
 
 // SharedStats snapshots a SharedCounter's lifetime tallies.
@@ -119,7 +143,7 @@ type SharedCounter struct {
 	maxStatuses int64
 
 	e    *engine
-	tab  internTableOf[sharedNode]
+	tab  internTableOf[*sharedNode]
 	slab nodeSlabOf[sharedNode]
 	vecs vecSlab
 
@@ -178,7 +202,7 @@ func NewSharedCounter(cat *catalog.Catalog, end term.Term, horizon int, goal deg
 // their completed/option sets) wholesale. Caller holds mu.
 func (c *SharedCounter) reset() {
 	c.e = newEngine(c.cat, c.end.Add(c.horizon), c.goal, c.pruners, c.opt)
-	c.tab = internTableOf[sharedNode]{}
+	c.tab = internTableOf[*sharedNode]{}
 	c.slab = nodeSlabOf[sharedNode]{}
 	c.vecs = vecSlab{}
 	c.wscr, c.uscr = nil, nil
@@ -223,7 +247,7 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 
 	c.mu.RLock()
 	if n := c.tab.lookup(h, key); n != nil {
-		out := c.answer(n.vec, true)
+		out := c.answer(c.vecOf(n), true)
 		c.mu.RUnlock()
 		c.hits.Add(1)
 		return out, nil
@@ -234,7 +258,7 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 	defer c.mu.Unlock()
 	if n := c.tab.lookup(h, key); n != nil { // raced with another builder
 		c.hits.Add(1)
-		return c.answer(n.vec, true), nil
+		return c.answer(c.vecOf(n), true), nil
 	}
 	c.newN, c.reusedN = 0, 0
 	c.stats.Builds++
@@ -257,6 +281,11 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 		c.reset()
 	}
 	return out, nil
+}
+
+// vecOf returns an interned node's tally vector.
+func (c *SharedCounter) vecOf(n *sharedNode) []int64 {
+	return c.vecs.at(n.vec, c.horizon+2)
 }
 
 func (c *SharedCounter) answer(vec []int64, hit bool) SharedCounts {
@@ -291,7 +320,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 	}
 	e := c.e
 	stride := c.horizon + 2
-	vec := c.vecs.alloc(stride)
+	ref, vec := c.vecs.alloc(stride)
 	endOrd := c.end.Ordinal()
 
 	cls, minTake := e.classify(st)
@@ -336,7 +365,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 			chash := dagHash(ck)
 			if n := c.tab.lookup(chash, ck); n != nil {
 				c.reusedN++
-				addVec(vec, n.vec)
+				addVec(vec, c.vecOf(n))
 				return nil
 			}
 			x := e.arena.Union(st.Completed, sel)
@@ -363,7 +392,7 @@ func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, 
 
 	c.newN++
 	n := c.slab.alloc()
-	n.vec = vec
+	n.vec = ref
 	c.tab.insert(h, key, n)
 	return vec, nil
 }

@@ -24,10 +24,17 @@
 // side table is replaced wholesale on every Invalidate, so it only ever
 // holds the immediately preceding generation — staleness is bounded at one
 // snapshot generation by construction.
+//
+// Storage is one intrusive LRU node per entry, holding the Entry by value
+// and keyed by the 32-byte request hash alone (a cache holds one
+// generation; Get and Put check the key's generation against it), so a
+// resident entry costs one 96-byte node and one map slot on top of its
+// body and window strings — under 192 B in all for a body-less cohort
+// unit. A replacement links in a fresh node, so an *Entry once handed
+// out by Get never changes.
 package resultcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"sync"
@@ -47,7 +54,15 @@ type Key struct {
 // (goal vs. deadline) never share an entry.
 func KeyFor(gen uint64, endpoint string, canonical []byte) Key {
 	h := sha256.New()
-	h.Write([]byte(endpoint))
+	// The endpoint goes in through a stack buffer: []byte(endpoint)
+	// would heap-allocate for names longer than 32 bytes, which every
+	// cohort-internal key space is.
+	var buf [64]byte
+	for len(endpoint) > 0 {
+		n := copy(buf[:], endpoint)
+		h.Write(buf[:n])
+		endpoint = endpoint[n:]
+	}
 	h.Write([]byte{0})
 	h.Write(canonical)
 	var k Key
@@ -68,8 +83,9 @@ type Entry struct {
 	Window string
 }
 
-// entryOverhead approximates the per-entry bookkeeping cost (list element,
-// map slot, Entry header) charged on top of the body bytes.
+// entryOverhead is the per-entry bookkeeping charge on top of the body
+// bytes: an upper bound on the node and its map slot (see the package
+// comment for measured costs), so the byte budget also bounds memory.
 const entryOverhead = 256
 
 func (e *Entry) size() int64 { return int64(len(e.Body)) + entryOverhead }
@@ -99,8 +115,8 @@ type Cache struct {
 	mu      sync.Mutex
 	budget  int64
 	gen     uint64
-	ll      *list.List // front = most recently used; values are *node
-	byKey   map[Key]*list.Element
+	lru     node // sentinel: lru.next is the most recently used entry
+	byHash  map[[sha256.Size]byte]*node
 	bytes   int64
 	flights map[Key]*Flight
 	stale   map[[sha256.Size]byte]*Entry // previous generation only
@@ -108,19 +124,31 @@ type Cache struct {
 	hits, misses, coalesced, evictions, staleHits atomic.Int64
 }
 
+// node is one resident entry, linked into the cache's LRU list.
 type node struct {
-	key Key
-	ent *Entry
+	prev, next *node
+	hash       [sha256.Size]byte
+	ent        Entry
 }
 
 // New returns a cache holding at most budget bytes of response bodies.
 func New(budget int64) *Cache {
-	return &Cache{
+	c := &Cache{
 		budget:  budget,
-		ll:      list.New(),
-		byKey:   map[Key]*list.Element{},
+		byHash:  map[[sha256.Size]byte]*node{},
 		flights: map[Key]*Flight{},
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+func (c *Cache) unlink(n *node) {
+	n.prev.next, n.next.prev = n.next, n.prev
+}
+
+func (c *Cache) pushFront(n *node) {
+	n.prev, n.next = &c.lru, c.lru.next
+	n.prev.next, n.next.prev = n, n
 }
 
 // Get returns the entry for k, if any, marking it most recently used.
@@ -128,19 +156,21 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if k.Gen == c.gen {
-		if el, ok := c.byKey[k]; ok {
-			c.ll.MoveToFront(el)
+		if n, ok := c.byHash[k.Hash]; ok {
+			c.unlink(n)
+			c.pushFront(n)
 			c.hits.Add(1)
-			return el.Value.(*node).ent, true
+			return &n.ent, true
 		}
 	}
 	c.misses.Add(1)
 	return nil, false
 }
 
-// Put stores an entry, evicting least-recently-used entries until the byte
-// budget holds. Entries from a stale generation (or larger than the whole
-// budget) are dropped silently — the catalog they describe is gone.
+// Put stores a copy of an entry, evicting least-recently-used entries
+// until the byte budget holds. Entries from a stale generation (or larger
+// than the whole budget) are dropped silently — the catalog they
+// describe is gone.
 func (c *Cache) Put(k Key, e *Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,29 +181,24 @@ func (c *Cache) put(k Key, e *Entry) {
 	if e == nil || k.Gen != c.gen || e.size() > c.budget {
 		return
 	}
-	if el, ok := c.byKey[k]; ok {
-		old := el.Value.(*node)
-		c.bytes += e.size() - old.ent.size()
-		old.ent = e
-		c.ll.MoveToFront(el)
-	} else {
-		c.byKey[k] = c.ll.PushFront(&node{key: k, ent: e})
-		c.bytes += e.size()
+	if old, ok := c.byHash[k.Hash]; ok {
+		c.unlink(old)
+		c.bytes -= old.ent.size()
 	}
+	n := &node{hash: k.Hash, ent: *e}
+	c.byHash[k.Hash] = n
+	c.pushFront(n)
+	c.bytes += e.size()
 	c.evictToBudget()
 }
 
 // evictToBudget drops least-recently-used entries until bytes fit the
 // budget. Caller holds mu.
 func (c *Cache) evictToBudget() {
-	for c.bytes > c.budget {
-		el := c.ll.Back()
-		if el == nil {
-			break
-		}
-		n := el.Value.(*node)
-		c.ll.Remove(el)
-		delete(c.byKey, n.key)
+	for c.bytes > c.budget && c.lru.prev != &c.lru {
+		n := c.lru.prev
+		c.unlink(n)
+		delete(c.byHash, n.hash)
 		c.bytes -= n.ent.size()
 		c.evictions.Add(1)
 	}
@@ -257,13 +282,13 @@ func (c *Cache) Invalidate(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen = gen
-	stale := make(map[[sha256.Size]byte]*Entry, len(c.byKey))
-	for k, el := range c.byKey {
-		stale[k.Hash] = el.Value.(*node).ent
+	stale := make(map[[sha256.Size]byte]*Entry, len(c.byHash))
+	for h, n := range c.byHash {
+		stale[h] = &n.ent
 	}
 	c.stale = stale
-	c.ll.Init()
-	c.byKey = map[Key]*list.Element{}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.byHash = map[[sha256.Size]byte]*node{}
 	c.bytes = 0
 	c.flights = map[Key]*Flight{}
 }
@@ -283,7 +308,7 @@ type Stats struct {
 // Stats returns the current counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	bytes, entries, staleEntries := c.bytes, len(c.byKey), len(c.stale)
+	bytes, entries, staleEntries := c.bytes, len(c.byHash), len(c.stale)
 	c.mu.Unlock()
 	return Stats{
 		Hits:         c.hits.Load(),

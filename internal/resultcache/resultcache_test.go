@@ -2,7 +2,9 @@ package resultcache
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,5 +312,33 @@ func TestStaleMissesUnknownHash(t *testing.T) {
 	c.Invalidate(1)
 	if _, ok := c.Stale(key(1, "never-cached")); ok {
 		t.Error("stale hit for a hash that was never cached")
+	}
+}
+
+func TestKeyForLongEndpointAllocatesNothing(t *testing.T) {
+	endpoint := strings.Repeat("goalmh2|substrate|cohort:", 3)[:60]
+	blob := []byte(`{"query":{}}`)
+	if n := testing.AllocsPerRun(100, func() { KeyFor(1, endpoint, blob) }); n != 0 {
+		t.Fatalf("KeyFor with a %d-byte endpoint: %v allocs, want 0", len(endpoint), n)
+	}
+	// Chunking the name through the stack buffer must not change the key.
+	long := strings.Repeat("x", 150)
+	h := sha256.Sum256([]byte(long + "\x00" + string(blob)))
+	if KeyFor(0, long, blob).Hash != h {
+		t.Fatalf("KeyFor(%d-byte endpoint) is not sha256(endpoint, 0, body)", len(long))
+	}
+}
+
+func TestReplaceLeavesHandedOutEntryUnchanged(t *testing.T) {
+	c := New(1 << 20)
+	k := key(0, "a")
+	c.Put(k, ent("first"))
+	got, _ := c.Get(k)
+	c.Put(k, &Entry{Body: []byte("second"), Paths: 2, Window: "w"})
+	if string(got.Body) != "first" || got.Paths != 1 || got.Window != "" {
+		t.Fatalf("entry handed out before the replace changed: %+v", got)
+	}
+	if now, _ := c.Get(k); string(now.Body) != "second" || now.Paths != 2 {
+		t.Fatalf("replacement not served: %+v", now)
 	}
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +11,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/cohort"
+	"repro/internal/term"
 )
 
 // benchBody is a moderately sized goal exploration: heavy enough that a
@@ -147,18 +151,40 @@ func BenchmarkExploreCoalesced(b *testing.B) {
 	}
 }
 
-// benchCohortSharedBody is a counting-heavy cohort: 300 synthesized
-// members, delay probe on, no detail replans — the profile the shared
-// DAG substrate (cross-member reuse + one-pass multi-horizon probe +
-// parallel member pipeline) targets.
-const benchCohortSharedBody = `{"scenario":{"cancel":[{"course":"COSI 21A","terms":["Spring 2014","Fall 2014"]}]},` +
-	`"synthesize":{"n":300,"seed":2},` +
-	`"query":{"start":"Fall 2013","end":"Fall 2015","maxPerTerm":3},` +
-	`"goal":{"expr":"COSI 21A and COSI 29A"},"baseline":true,"horizon":2}`
-
-func benchCohortShared(b *testing.B, s *Server) {
+// benchCohortSharedBody is a counting-heavy cohort: 300 members, delay
+// probe on, no detail replans — the profile the shared DAG substrate
+// (cross-member reuse + one-pass multi-horizon probe + parallel member
+// pipeline) targets. The members are the cohort a
+// {"synthesize":{"n":300,"seed":2}} job would synthesise, generated once
+// and posted explicitly, so the benchmarks time counting, not member
+// synthesis (BenchmarkCohortSynthesize in internal/cohort times that).
+func benchCohortSharedBody(b *testing.B) string {
 	b.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/api/v1/cohort", strings.NewReader(benchCohortSharedBody))
+	nav, _ := coursenav.Brandeis()
+	goal, err := nav.GoalExpr("COSI 21A and COSI 29A")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal := nav.Catalog().Calendar()
+	start, _ := term.Parse(cal, "Fall 2013")
+	end, _ := term.Parse(cal, "Fall 2015")
+	members, err := cohort.Synthesize(nav.Catalog(), goal.Inner(), start, end, 3, 300, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := json.Marshal(members)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return `{"scenario":{"cancel":[{"course":"COSI 21A","terms":["Spring 2014","Fall 2014"]}]},` +
+		`"members":` + string(blob) + `,` +
+		`"query":{"start":"Fall 2013","end":"Fall 2015","maxPerTerm":3},` +
+		`"goal":{"expr":"COSI 21A and COSI 29A"},"baseline":true,"horizon":2}`
+}
+
+func benchCohortShared(b *testing.B, s *Server, body string) {
+	b.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/cohort", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
@@ -172,11 +198,12 @@ func benchCohortShared(b *testing.B, s *Server) {
 // job's shared substrate, built across members inside the iteration.
 func BenchmarkCohortSharedCold(b *testing.B) {
 	s := newBenchServer(b)
+	body := benchCohortSharedBody(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Cache.Invalidate(0)
-		benchCohortShared(b, s)
+		benchCohortShared(b, s, body)
 	}
 }
 
@@ -184,10 +211,11 @@ func BenchmarkCohortSharedCold(b *testing.B) {
 // primed result cache (the substrate is per-job; the cache spans jobs).
 func BenchmarkCohortSharedWarm(b *testing.B) {
 	s := newBenchServer(b)
-	benchCohortShared(b, s)
+	body := benchCohortSharedBody(b)
+	benchCohortShared(b, s, body)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchCohortShared(b, s)
+		benchCohortShared(b, s, body)
 	}
 }

@@ -22,6 +22,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"repro"
 	"repro/internal/catalog"
 	"repro/internal/cohort"
+	"repro/internal/resultcache"
 	"repro/internal/term"
 	"repro/internal/transcript"
 )
@@ -227,6 +229,7 @@ func (s *Server) handleCohort(t *tenantState, w http.ResponseWriter, r *http.Req
 		template: req.Query,
 		budget:   req.Budget,
 	}
+	pl.replanSpace = pl.keySpace(cohort.Variant{Kind: cohort.KindScenario}, "whatif")
 	// The job's counting units run on a shared substrate — one interned
 	// DAG + tally memo per catalog variant, built across members — with
 	// each execution still threaded through runUnit, so per-unit pricing,
@@ -379,6 +382,19 @@ type serverPlanner struct {
 	goalOnce sync.Once // builds goal/goalErr on the first replan that runs
 	goal     coursenav.Goal
 	goalErr  error
+
+	// Key spaces are per-job constants: replanSpace is set at
+	// construction, counting spaces are resolved on first use.
+	replanSpace string
+	mu          sync.Mutex
+	spaces      map[countSpaceID]string
+}
+
+// countSpaceID names a counting unit's key space within a job: the
+// variant, and the probe horizon (-1 for single-deadline units).
+type countSpaceID struct {
+	v       cohort.Variant
+	horizon int
 }
 
 // scenGoal returns the job's goal on the scenario catalog, built once
@@ -399,6 +415,28 @@ func (p *serverPlanner) keySpace(v cohort.Variant, base string) string {
 		return base + "|cohort:" + p.scenario.Digest()
 	}
 	return base
+}
+
+// countSpace returns the key space of a variant's counting units,
+// "goal|substrate" or "goalmh<h>|substrate" with the variant folded in,
+// derived once per job rather than per unit.
+func (p *serverPlanner) countSpace(v cohort.Variant, horizon int) string {
+	id := countSpaceID{v: v, horizon: horizon}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sp, ok := p.spaces[id]
+	if !ok {
+		base := "goal|substrate"
+		if horizon >= 0 {
+			base = "goalmh" + strconv.Itoa(horizon) + "|substrate"
+		}
+		sp = p.keySpace(v, base)
+		if p.spaces == nil {
+			p.spaces = map[countSpaceID]string{}
+		}
+		p.spaces[id] = sp
+	}
+	return sp
 }
 
 // unitReq folds one member into the job's canonical template. The
@@ -426,28 +464,22 @@ func (p *serverPlanner) run(ctx context.Context, endpoint string, req *ExploreRe
 	return p.s.runUnit(ctx, p.t, k, req, false, exec)
 }
 
-// substrateBody is the cached body of a shared-substrate counting unit:
-// GoalPaths[h] counts goal paths by deadline end+h (one element for a
-// single-deadline unit).
-type substrateBody struct {
-	GoalPaths []int64 `json:"goalPaths"`
-}
-
 // sharedUnit threads one shared-substrate counting execution through
 // runUnit, so the unit is priced, budgeted and cached like any other.
 // Its key space ("goal|substrate") is cohort-internal: the substrate
 // knows the unit's goal-path count but not the tallies an interactive
 // countOnly body reports, so its entries must never answer an
 // interactive request. Cohort units still coalesce with each other,
-// within a job and across jobs.
+// within a job and across jobs. Since no HTTP response ever replays
+// them, the entries are lean: the count alone, no body, no window.
 func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end string, v cohort.Variant, exec cohort.CountExec) (cohort.CountResult, error) {
 	req := p.unitReq(m, end, true)
-	res, err := p.run(ctx, p.keySpace(v, "goal|substrate"), req, func(ctx context.Context) (unitRun, error) {
+	res, err := p.run(ctx, p.countSpace(v, -1), req, func(ctx context.Context) (unitRun, error) {
 		sc, err := exec(ctx)
 		if err != nil {
 			return unitRun{}, err
 		}
-		return jsonRun(req.Query, substrateBody{GoalPaths: []int64{sc.GoalPaths}}, sc.GoalPaths, "")
+		return unitRun{ent: &resultcache.Entry{Paths: sc.GoalPaths}}, nil
 	})
 	if err != nil {
 		return cohort.CountResult{}, err
@@ -456,24 +488,29 @@ func (p *serverPlanner) sharedUnit(ctx context.Context, m cohort.Member, end str
 }
 
 // sharedHorizonUnit is sharedUnit's multi-deadline counterpart, keyed
-// under "goalmh<h>|substrate".
+// under "goalmh<h>|substrate". Its lean entry's body is the count
+// vector, GoalPaths[h] little-endian at byte 8h.
 func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, end string, horizon int, v cohort.Variant, exec cohort.HorizonExec) (cohort.HorizonCounts, error) {
 	req := p.unitReq(m, end, true)
-	res, err := p.run(ctx, p.keySpace(v, "goalmh"+strconv.Itoa(horizon)+"|substrate"), req, func(ctx context.Context) (unitRun, error) {
+	res, err := p.run(ctx, p.countSpace(v, horizon), req, func(ctx context.Context) (unitRun, error) {
 		sc, err := exec(ctx)
 		if err != nil {
 			return unitRun{}, err
 		}
-		return jsonRun(req.Query, substrateBody{GoalPaths: sc.GoalPaths}, sc.GoalPaths[0], "")
+		body := make([]byte, 0, 8*len(sc.GoalPaths))
+		for _, n := range sc.GoalPaths {
+			body = binary.LittleEndian.AppendUint64(body, uint64(n))
+		}
+		return unitRun{ent: &resultcache.Entry{Body: body, Paths: sc.GoalPaths[0]}}, nil
 	})
 	if err != nil {
 		return cohort.HorizonCounts{}, err
 	}
-	var body substrateBody
-	if err := json.Unmarshal(res.ent.Body, &body); err != nil {
-		return cohort.HorizonCounts{}, err
+	counts := make([]int64, len(res.ent.Body)/8)
+	for h := range counts {
+		counts[h] = int64(binary.LittleEndian.Uint64(res.ent.Body[8*h:]))
 	}
-	return cohort.HorizonCounts{GoalPaths: body.GoalPaths, Reused: res.how != "miss"}, nil
+	return cohort.HorizonCounts{GoalPaths: counts, Reused: res.how != "miss"}, nil
 }
 
 // Replan implements cohort.Replanner: the member's what-if unit against
@@ -482,7 +519,7 @@ func (p *serverPlanner) sharedHorizonUnit(ctx context.Context, m cohort.Member, 
 // key space in both directions.
 func (p *serverPlanner) Replan(ctx context.Context, m cohort.Member, end string) (cohort.Replan, error) {
 	req := p.unitReq(m, end, false)
-	res, err := p.run(ctx, p.keySpace(cohort.Variant{Kind: cohort.KindScenario}, "whatif"), req, func(ctx context.Context) (unitRun, error) {
+	res, err := p.run(ctx, p.replanSpace, req, func(ctx context.Context) (unitRun, error) {
 		goal, err := p.scenGoal()
 		if err != nil {
 			return unitRun{}, err

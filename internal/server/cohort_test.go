@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -436,4 +438,68 @@ func TestCohort10kMembersStreamAndCoalesce(t *testing.T) {
 	if sum.Coalesced*2 < sum.Units {
 		t.Fatalf("coalesced %d of %d units, want a majority", sum.Coalesced, sum.Units)
 	}
+}
+
+// TestSubstrateEntryFootprint bounds what a cohort counting unit leaves
+// in the result cache: cohort-internal entries are never replayed over
+// HTTP, so one costs its cache node and map slot and nothing else (no
+// rendered body, no window annotation). Live heap is measured after GC
+// over 10k distinct units; the admission estimator is off so only the
+// cache holds per-unit state.
+func TestSubstrateEntryFootprint(t *testing.T) {
+	const n = 10_000
+	nav, _ := coursenav.Brandeis()
+	s := New(nav)
+	s.Estimator = nil
+	tn := s.defaultTenant()
+	p := &serverPlanner{
+		s: s, t: tn, gen: tn.gen(),
+		scenNav:  nav,
+		scenario: &cohort.Scenario{},
+		goalSpec: GoalSpec{Courses: []string{"COSI 21A"}},
+		template: QuerySpec{End: "Fall 2015", MaxPerTerm: 3},
+	}
+	cat := nav.Catalog()
+	members := make([]cohort.Member, n+1)
+	for i := range members {
+		var completed []string
+		for c := 0; c < 14; c++ {
+			if i&(1<<c) != 0 {
+				completed = append(completed, cat.ID(c))
+			}
+		}
+		members[i] = cohort.Member{Completed: completed, Start: "Fall 2013"}
+	}
+	ctx := context.Background()
+	unit := func(i int) {
+		paths := int64(i)
+		_, err := p.sharedUnit(ctx, members[i], "Fall 2015", cohort.Variant{Kind: cohort.KindScenario},
+			func(context.Context) (cohort.SharedCount, error) { return cohort.SharedCount{GoalPaths: paths}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	unit(0) // set-up: the tenant's cache partition, lazily built tables
+	// Two collections: the second frees what sync.Pools kept from the
+	// first.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		unit(i)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if st := tn.resultCache().Stats(); st.Entries != n+1 {
+		t.Fatalf("cache holds %d entries, want %d", st.Entries, n+1)
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(members)
+	if per > 192 {
+		t.Errorf("%d substrate entries cost %d B each, ceiling 192", n, per)
+	}
+	t.Logf("%d substrate entries: %d B each", n, per)
 }

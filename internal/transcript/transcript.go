@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -152,7 +152,10 @@ func Generate(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, maxP
 // generator consumes rng in a fixed order, so an equal-state rng yields
 // identical transcripts, and sequential calls sharing one rng form a
 // single deterministic stream (the second call continues where the first
-// stopped). rng must not be shared concurrently.
+// stopped). rng must not be shared concurrently. Each sampled selection
+// draws one Intn for its size and then exactly Rand.Perm's draws for the
+// shuffle (replayed in a reused buffer), so the draw sequence — and with
+// it every synthesised cohort — is that of a generator calling Rand.Perm.
 func GenerateRand(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, maxPerTerm, n int, rng *rand.Rand) ([]Transcript, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transcript: n must be positive")
@@ -160,33 +163,113 @@ func GenerateRand(cat *catalog.Catalog, goal degree.Goal, start, end term.Term, 
 	if rng == nil {
 		return nil, fmt.Errorf("transcript: nil rng")
 	}
-	pruners := explore.PaperPruners(cat, goal, maxPerTerm)
+	w := &walker{
+		cat: cat, goal: goal, end: end, m: maxPerTerm,
+		pruners:   explore.PaperPruners(cat, goal, maxPerTerm),
+		relevant:  goal.Relevant(),
+		rng:       rng,
+		selection: bitset.New(cat.Len()),
+	}
 	out := make([]Transcript, 0, n)
 	for i := 0; i < n; i++ {
-		var entries []Entry
-		x := bitset.New(cat.Len())
-		if !walk(cat, goal, status.New(cat, start, x), end, maxPerTerm, pruners, rng, &entries) {
+		w.path = w.path[:0]
+		if !w.walk(status.New(cat, start, bitset.New(cat.Len())), 0) {
 			return nil, fmt.Errorf("transcript: no goal-reaching walk from %v to %v", start, end)
 		}
-		out = append(out, Transcript{Student: fmt.Sprintf("S%03d", i+1), Entries: entries})
+		out = append(out, Transcript{Student: fmt.Sprintf("S%03d", i+1), Entries: w.entries()})
 	}
 	return out, nil
 }
 
-// walk extends entries with a goal-reaching suffix from st; it returns
+// sampleTries is the number of random selections drawn per semester.
+const sampleTries = 48
+
+// walker is one generation run's scratch state, reused by every node of
+// every walk so that sampling a semester allocates nothing.
+type walker struct {
+	cat      *catalog.Catalog
+	goal     degree.Goal
+	end      term.Term
+	m        int
+	pruners  []explore.Pruner
+	relevant bitset.Set // goal.Relevant(), which clones on every call
+	rng      *rand.Rand
+
+	options   []int      // the current node's option set
+	permBuf   []int      // perm's output
+	frames    []frame    // candidate selections per walk depth
+	path      []step     // the selections of the walk in progress
+	selection bitset.Set // the selection being tried, as a set
+}
+
+// frame holds one node's distinct candidate selections back to back:
+// candidate i is ids[ends[i-1]:ends[i]], course indices ascending, and
+// keys[i] its fingerprint, a 64-bit mask of the indices mod 64 (exact
+// for catalogs of at most 64 courses, a filter beyond).
+type frame struct {
+	ids, ends []int
+	keys      []uint64
+}
+
+func (f *frame) candidate(i int) []int {
+	lo := 0
+	if i > 0 {
+		lo = f.ends[i-1]
+	}
+	return f.ids[lo:f.ends[i]]
+}
+
+// add records sel, the frame's trailing ids, as a candidate unless it
+// duplicates one, in which case it is dropped.
+func (f *frame) add(sel []int) {
+	var key uint64
+	for _, ci := range sel {
+		key |= 1 << (ci % 64)
+	}
+	for i, k := range f.keys {
+		if k == key && slices.Equal(f.candidate(i), sel) {
+			f.ids = f.ids[:len(f.ids)-len(sel)]
+			return
+		}
+	}
+	f.ends = append(f.ends, len(f.ids))
+	f.keys = append(f.keys, key)
+}
+
+// step is one semester of the walk in progress: its term and the
+// selection elected, held in the frame that sampled it.
+type step struct {
+	term term.Term
+	ids  []int
+}
+
+// perm returns a random permutation of [0, n) in a reused buffer,
+// drawing from the rng exactly as Rand.Perm does.
+func (w *walker) perm(n int) []int {
+	m := slices.Grow(w.permBuf[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		j := w.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	w.permBuf = m
+	return m
+}
+
+// walk extends the path with a goal-reaching suffix from st; it returns
 // false when none exists below this node (triggering backtracking above).
 // The goal-driven pruning strategies (admissible, so they never cut a
 // goal-reaching walk) keep the backtracking tractable in tight windows.
-func walk(cat *catalog.Catalog, goal degree.Goal, st status.Status, end term.Term, m int, pruners []explore.Pruner, rng *rand.Rand, entries *[]Entry) bool {
-	if goal.Satisfied(st.Completed) {
+func (w *walker) walk(st status.Status, depth int) bool {
+	if w.goal.Satisfied(st.Completed) {
 		return true
 	}
-	if !st.Term.Before(end) {
+	if !st.Term.Before(w.end) {
 		return false
 	}
 	minTake := 0
-	for _, p := range pruners {
-		prune, mt := p.Check(st, end)
+	for _, p := range w.pruners {
+		prune, mt := p.Check(st, w.end)
 		if prune {
 			return false
 		}
@@ -194,73 +277,95 @@ func walk(cat *catalog.Catalog, goal degree.Goal, st status.Status, end term.Ter
 			minTake = mt
 		}
 	}
-	// Candidate selections: subsets of the option set sized within
-	// [max(minTake,1), m], shuffled, goal-relevant-heavy first. Enumerating
-	// all subsets would be exponential; sampling a bounded number of random
-	// subsets suffices because backtracking covers failures.
-	options := st.Options.Members()
-	var candidates [][]int
-	if len(options) > 0 {
-		maxSize := minInt(m, len(options))
-		loSize := maxInt(1, minTake)
-		if loSize > maxSize {
+	if depth == len(w.frames) {
+		w.frames = append(w.frames, frame{})
+	}
+	f := &w.frames[depth]
+	f.ids, f.ends, f.keys = f.ids[:0], f.ends[:0], f.keys[:0]
+	w.options = w.options[:0]
+	st.Options.ForEach(func(ci int) { w.options = append(w.options, ci) })
+	if len(w.options) > 0 {
+		if !w.sample(f, minTake) {
 			return false // cannot take enough courses this semester
 		}
-		relevant := goal.Relevant()
-		seen := map[string]bool{}
-		for try := 0; try < 48; try++ {
-			size := loSize + rng.Intn(maxSize-loSize+1)
-			perm := rng.Perm(len(options))
-			// Bias: move goal-relevant courses to the front, then cut to
-			// size, so most samples make progress.
-			sort.SliceStable(perm, func(a, b int) bool {
-				ra := relevant.Contains(options[perm[a]])
-				rb := relevant.Contains(options[perm[b]])
-				return ra && !rb
-			})
-			sel := append([]int(nil), perm[:size]...)
-			ids := make([]int, len(sel))
-			for j, pi := range sel {
-				ids[j] = options[pi]
-			}
-			sort.Ints(ids)
-			key := fmt.Sprint(ids)
-			if !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, ids)
-			}
-		}
 	} else {
-		candidates = append(candidates, nil) // semester off
+		f.ends = append(f.ends, 0) // semester off: one empty selection
 	}
-	for _, ids := range candidates {
-		w := bitset.New(cat.Len())
-		courses := make([]string, len(ids))
-		for j, ci := range ids {
-			w.Add(ci)
-			courses[j] = cat.ID(ci)
+	for i := range f.ends {
+		ids := f.candidate(i)
+		w.selection.Clear()
+		for _, ci := range ids {
+			w.selection.Add(ci)
 		}
-		*entries = append(*entries, Entry{Term: st.Term, Courses: courses})
-		if walk(cat, goal, st.Advance(cat, w), end, m, pruners, rng, entries) {
+		w.path = append(w.path, step{term: st.Term, ids: ids})
+		if w.walk(st.Advance(w.cat, w.selection), depth+1) {
 			return true
 		}
-		*entries = (*entries)[:len(*entries)-1]
+		w.path = w.path[:len(w.path)-1]
+		// The recursion may have grown w.frames; re-derive f.
+		f = &w.frames[depth]
 	}
 	return false
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// sample fills f with the distinct candidate selections of the current
+// node: subsets of the option set sized within [max(minTake,1), m],
+// shuffled, goal-relevant-heavy first. Enumerating all subsets would be
+// exponential; sampling a bounded number of random subsets suffices
+// because backtracking covers failures. It reports false when the
+// semester cannot hold minTake courses.
+func (w *walker) sample(f *frame, minTake int) bool {
+	options := w.options
+	maxSize := min(w.m, len(options))
+	loSize := max(1, minTake)
+	if loSize > maxSize {
+		return false
 	}
-	return b
+	for try := 0; try < sampleTries; try++ {
+		size := loSize + w.rng.Intn(maxSize-loSize+1)
+		perm := w.perm(len(options))
+		// Bias: move goal-relevant courses to the front, then cut to
+		// size, so most samples make progress. The partition is stable
+		// (the shuffle order survives on each side), and only its first
+		// size elements are needed.
+		lo := len(f.ids)
+		for _, relevant := range [2]bool{true, false} {
+			for _, pi := range perm {
+				if len(f.ids)-lo == size {
+					break
+				}
+				if w.relevant.Contains(options[pi]) == relevant {
+					f.ids = append(f.ids, options[pi])
+				}
+			}
+		}
+		sel := f.ids[lo:]
+		slices.Sort(sel)
+		f.add(sel)
+	}
+	return true
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// entries renders the finished walk as transcript entries, building the
+// course-ID lists only now that the walk has succeeded.
+func (w *walker) entries() []Entry {
+	if len(w.path) == 0 {
+		return nil
 	}
-	return b
+	total := 0
+	for _, s := range w.path {
+		total += len(s.ids)
+	}
+	out := make([]Entry, len(w.path))
+	ids := make([]string, 0, total)
+	for i, s := range w.path {
+		lo := len(ids)
+		for _, ci := range s.ids {
+			ids = append(ids, w.cat.ID(ci))
+		}
+		out[i] = Entry{Term: s.term, Courses: ids[lo:len(ids):len(ids)]}
+	}
+	return out
 }
 
 // Write serialises transcripts in the dump format Parse reads:
