@@ -395,8 +395,10 @@ type Query struct {
 	// cost is at most the threshold (§4.3.1's workload-threshold
 	// queries).
 	MaxPathCost float64
-	// Workers, when >1, parallelises counting queries (DeadlineCount,
-	// GoalPathsCount) across that many goroutines; tallies are exact.
+	// Workers, when >1, parallelises tree-walk counting queries
+	// (DeadlineCount, GoalPathsCount on Substrate "tree") across that many
+	// goroutines; tallies are exact. It applies to tree-walk counting
+	// only: DAG-substrate counts, horizon probes and what-if run serially.
 	Workers int
 	// Substrate selects the search structure: "" or "auto" lets each
 	// entry point choose (counting and what-if queries run on the
@@ -642,7 +644,9 @@ func (n *Navigator) GoalPathsCountCtx(ctx context.Context, q Query, g Goal) (Sum
 // GoalPaths total the same query with deadline end+i would report. A
 // cohort runner probing "how many semesters late does this member
 // graduate?" pays one counting run instead of horizon+1. The Summary is
-// the run's (its Paths/GoalPaths are relative to end+horizon).
+// the run's (its Paths/GoalPaths are relative to end+horizon). It always
+// runs serially on the DAG substrate; Query.Substrate and Query.Workers
+// do not apply.
 func (n *Navigator) GoalPathsCountHorizons(q Query, g Goal, horizon int) ([]int64, Summary, error) {
 	return n.GoalPathsCountHorizonsCtx(context.Background(), q, g, horizon)
 }

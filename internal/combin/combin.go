@@ -16,20 +16,36 @@ import (
 
 // Scratch holds the working buffers ForEachCombination needs, so callers
 // enumerating at every node of a large walk can reuse one allocation set
-// instead of paying three makes per call. The zero value is ready to use.
-// A Scratch must not be shared between concurrent enumerations (including
-// a nested enumeration from inside fn — use a second Scratch for that).
+// instead of paying for buffers per call. The zero value is ready to use;
+// the three buffers are carved from one allocation, regrown only when a
+// larger option set or combination size arrives. A Scratch must not be
+// shared between concurrent enumerations (including a nested enumeration
+// from inside fn — use a second Scratch for that).
 type Scratch struct {
 	members []int
 	idx     []int
 	comb    []int
 }
 
-func (s *Scratch) ints(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
+// carve points members at buf's first n ints and idx and comb at equal
+// halves of the rest.
+func (s *Scratch) carve(buf []int, n int) {
+	m := (len(buf) - n) / 2
+	s.members, s.idx, s.comb = buf[:n:n], buf[n:n+m:n+m], buf[n+m:n+2*m:n+2*m]
+}
+
+// NewScratches returns k scratches that each enumerate option sets of up
+// to n members, in combinations of up to m, without allocating — all
+// carved from one allocation, for a walk that knows its nesting depth and
+// bounds up front.
+func NewScratches(k, n, m int) []Scratch {
+	ss := make([]Scratch, k)
+	per := n + 2*m
+	buf := make([]int, k*per)
+	for i := range ss {
+		ss[i].carve(buf[i*per:(i+1)*per], n)
 	}
-	return (*buf)[:n]
+	return ss
 }
 
 // ForEachCombination calls fn with every combination of the members of y
@@ -44,18 +60,21 @@ func ForEachCombination(y bitset.Set, maxSize int, fn func(comb []int) bool) {
 // ForEachCombination is the allocation-free form of the package function,
 // drawing its working buffers from the Scratch.
 func (s *Scratch) ForEachCombination(y bitset.Set, maxSize int, fn func(comb []int) bool) {
-	members := s.ints(&s.members, y.Len())
-	members = members[:0]
-	y.ForEach(func(i int) { members = append(members, i) })
-	n := len(members)
+	n := y.Len()
 	if n == 0 {
 		return
 	}
 	if maxSize <= 0 || maxSize > n {
 		maxSize = n
 	}
-	idx := s.ints(&s.idx, maxSize)
-	comb := s.ints(&s.comb, maxSize)
+	if n > cap(s.members) || maxSize > cap(s.idx) {
+		nn, mm := max(n, cap(s.members)), max(maxSize, cap(s.idx))
+		s.carve(make([]int, nn+2*mm), nn)
+	}
+	members := s.members[:0]
+	y.ForEach(func(i int) { members = append(members, i) })
+	idx := s.idx[:maxSize]
+	comb := s.comb[:maxSize]
 	for k := 1; k <= maxSize; k++ {
 		// Initial combination 0,1,...,k-1.
 		for i := 0; i < k; i++ {

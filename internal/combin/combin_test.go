@@ -164,3 +164,42 @@ func TestScratchReuseMatchesPackageFunction(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchReuseAllocatesNothing: a Scratch that has seen an option set
+// of a given size enumerates sets up to that size without allocating, a
+// fresh one pays exactly one allocation for all three buffers, and
+// NewScratches hands out buffers already sized for its width.
+func TestScratchReuseAllocatesNothing(t *testing.T) {
+	y := bitset.FromMembers(64, 1, 5, 9, 20, 33, 47, 60)
+	small := bitset.FromMembers(64, 2, 3)
+	n := 0
+	count := func([]int) bool { n++; return true }
+
+	var s Scratch
+	s.ForEachCombination(y, 3, count)
+	if got := testing.AllocsPerRun(50, func() {
+		s.ForEachCombination(y, 3, count)
+		s.ForEachCombination(small, 0, count)
+	}); got != 0 {
+		t.Errorf("reused Scratch: %v allocs per enumeration pair, want 0", got)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		var fresh Scratch
+		fresh.ForEachCombination(y, 3, count)
+	}); got != 1 {
+		t.Errorf("fresh Scratch: %v allocs, want 1", got)
+	}
+	ss := NewScratches(2, 7, 3)
+	if got := testing.AllocsPerRun(50, func() {
+		ss[0].ForEachCombination(y, 3, count)
+		ss[1].ForEachCombination(small, 0, count)
+	}); got != 0 {
+		t.Errorf("NewScratches: %v allocs per enumeration, want 0", got)
+	}
+	var want, got [][]int
+	ForEachCombination(y, 3, func(c []int) bool { want = append(want, append([]int(nil), c...)); return true })
+	ss[1].ForEachCombination(y, 3, func(c []int) bool { got = append(got, append([]int(nil), c...)); return true })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("NewScratches enumeration differs from the package function")
+	}
+}

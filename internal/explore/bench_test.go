@@ -52,9 +52,11 @@ func BenchmarkClassify(b *testing.B) {
 }
 
 // BenchmarkDAGCount measures deadline counting on the interned-status DAG
-// substrate (the countOnly fast path). Gated by bench-regress: the DAG
-// build is allocation-heavy by design (slab chunks, intern tables), so
-// the baseline pins both its wall clock and its allocation profile.
+// substrate (the countOnly fast path). Gated by bench-regress: the
+// counting kernel allocates only storage that grows with the distinct
+// statuses (node and vector slab chunks, intern-table doublings, arena
+// chunks) plus its DFS scratch, sized once per run, so the baseline pins
+// both its wall clock and that allocation profile.
 func BenchmarkDAGCount(b *testing.B) {
 	cat := brandeis.Catalog()
 	start := status.New(cat, brandeis.StartForSemesters(4), bitset.New(cat.Len()))

@@ -1,10 +1,6 @@
 package explore
 
-import (
-	"sync"
-
-	"repro/internal/status"
-)
+import "repro/internal/status"
 
 // This file holds the DAG substrate's storage primitives. The profile of a
 // straightforward map[status.MapKey]*dagNode builder is dominated by the
@@ -24,13 +20,10 @@ import (
 //     cache miss and a hit ~2, versus several for a runtime map at this
 //     key size, and the table's empty slots (up to 5/8 of it) cost 16
 //     bytes each rather than the 72 a key-carrying slot would.
-//   - dagInternShards: 64 lock-striped internTables for the parallel
-//     builder, sharded by the hash's top bits (the probe uses the low
-//     bits, so shard choice and probe order stay independent).
 //
-// The slab and table are generic over the node payload: the one-shot DAG
-// builder stores dagNodes, the long-lived shared counter (dag_shared.go)
-// stores sharedNodes in the same layout.
+// The slab and table are generic over the node payload: the streaming
+// builder stores dagNodes, the counting kernel (dag_shared.go) stores
+// countNodes in the same layout.
 
 // Slab chunks grow geometrically: the first holds dagFirstChunk nodes and
 // each later one twice its predecessor, up to dagChunk. Interactive
@@ -54,7 +47,7 @@ type nodeSlabOf[T any] struct {
 	chunks [][]T
 }
 
-// nodeSlab is the one-shot DAG builder's slab.
+// nodeSlab is the streaming DAG builder's slab.
 type nodeSlab = nodeSlabOf[dagNode]
 
 func (s *nodeSlabOf[T]) alloc() *T {
@@ -100,7 +93,7 @@ type internTableOf[N interned] struct {
 	n      int
 }
 
-// internTable is the one-shot DAG builder's interner.
+// internTable is the streaming DAG builder's interner.
 type internTable = internTableOf[*dagNode]
 
 func (n *dagNode) internKey() *status.MapKey { return &n.key }
@@ -175,50 +168,4 @@ func (t *internTableOf[N]) each(fn func(h uint64, k status.MapKey, n N)) {
 			fn(h, *t.refs[j].internKey(), t.refs[j])
 		}
 	}
-}
-
-// dagInternShards is the concurrent interner for the parallel builder: 64
-// lock-striped internTables, the same striping as PR 1's parallel counting
-// memo. Whichever worker takes the shard lock first creates the node (mk
-// runs under the lock), so each distinct status is generated, classified
-// and queued exactly once across the pool.
-type dagInternShards struct {
-	shards [memoShards]dagInternShard
-}
-
-type dagInternShard struct {
-	mu  sync.Mutex
-	tab internTable
-	// Pad to keep neighbouring shard locks off one another's cache lines.
-	_ [24]byte
-}
-
-// getOrPut returns the node interned under (h, k), creating it via mk —
-// under the shard lock — on first sight. The second result reports
-// whether this call created the node.
-func (s *dagInternShards) getOrPut(h uint64, k status.MapKey, mk func() *dagNode) (*dagNode, bool) {
-	sh := &s.shards[h>>(64-memoShardBits)]
-	sh.mu.Lock()
-	if n := sh.tab.lookup(h, k); n != nil {
-		sh.mu.Unlock()
-		return n, false
-	}
-	n := mk()
-	sh.tab.insert(h, k, n)
-	sh.mu.Unlock()
-	return n, true
-}
-
-// put inserts an already-created node (used to migrate the serial
-// builder's roots into the shared interner before the pool starts).
-func (s *dagInternShards) put(h uint64, k status.MapKey, n *dagNode) {
-	sh := &s.shards[h>>(64-memoShardBits)]
-	sh.tab.insert(h, k, n)
-}
-
-// lookup resolves (h, k) without taking the shard lock. Only valid after
-// the worker pool has joined (the wait establishes the happens-before
-// edge); used by the post-build retally sweep.
-func (s *dagInternShards) lookup(h uint64, k status.MapKey) *dagNode {
-	return s.shards[h>>(64-memoShardBits)].tab.lookup(h, k)
 }

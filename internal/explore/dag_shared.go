@@ -13,28 +13,30 @@ import (
 	"repro/internal/term"
 )
 
-// This file implements the cross-request DAG substrate (DESIGN.md §17):
-// a long-lived interner + tally memo keyed by (catalog, goal, deadline,
-// options) that answers goal-path counts for MANY start statuses. A
-// cohort run replans thousands of members against one catalog variant;
-// their reachable statuses overlap massively (curricula are shallow and
-// wide), so the cost of the whole cohort scales with the number of
-// DISTINCT statuses across all members, not with members × rebuilds.
+// This file holds the DAG substrate's one counter (DESIGN.md §13, §17):
+// countKernel, a memoised depth-first DP over interned statuses, and
+// SharedCounter, the long-lived concurrent wrapper cohort runs share.
+// Every DAG count — deadline and goal counts, the multi-deadline probe,
+// what-if candidate scores and cohort member counts — runs on the kernel.
 //
-// Differences from the one-shot builder (dag.go):
-//
-//   - Tallies are stored per status, not per run: sharedNode carries a
+//   - Tallies are stored per status: countNode carries a
 //     (horizon+2)-wide vector — total maximal paths, plus goal paths for
-//     every deadline in [end, end+horizon] — filled by a memoised
-//     depth-first DP. The one forward-prefix trick does not apply (each
-//     member roots the DP somewhere else), but each distinct status is
-//     still expanded at most once for the life of the counter.
-//   - Storage is the same generic slab/table machinery (dag_intern.go)
-//     with sharedNode payloads, plus a vector slab so a million nodes
-//     cost thousands of allocations.
-//   - The counter is safe for concurrent use: lookups of already-built
-//     roots take a read lock; building takes the write lock, so one
-//     member's miss never blocks another member's hit.
+//     every deadline in [end, end+horizon] — filled bottom-up as the DFS
+//     unwinds. Each distinct status is classified and expanded at most
+//     once for the life of the kernel; a later edge into it is a memo
+//     hit that adds its vector.
+//   - Terminal children (goal reached, or landing on the deadline) fold
+//     at the edge and are never interned: their whole contribution is
+//     known there, and skipping their probe and option-set derivation
+//     roughly halves the work.
+//   - A status is interned only once its vector is complete, so a
+//     stopped build unwinds with partial sums — lower bounds — and
+//     leaves no half-filled tally behind for a later root to reuse.
+//   - SharedCounter wraps a kernel in one RWMutex: lookups of
+//     already-built roots take the read lock; a build takes the write
+//     lock for its whole DFS, so a cold build blocks every other caller
+//     — hits included, since RLock waits behind a pending writer — until
+//     it finishes.
 //   - Memory is bounded by MaxStatuses: a build that would exceed the
 //     hard cap (2x) aborts and evicts; a build that lands between the
 //     budget and the cap completes, answers, and then evicts — the next
@@ -45,18 +47,18 @@ import (
 // table slot, vector and arena sets) this is roughly 130 MB.
 const defaultSharedStatuses = 1 << 20
 
-// sharedNode is one interned status's memoised tally vector. vec[0] is
+// countNode is one interned status's memoised tally vector. vec[0] is
 // the number of maximal paths from the status under the farthest
 // deadline; vec[1+h] the number of goal-reaching paths under deadline
 // end+h. The status itself is not retained — only the key identifies it.
-// The vector lives in the counter's vecSlab; the node holds its 8-byte
+// The vector lives in the kernel's vecSlab; the node holds its 8-byte
 // position rather than a 24-byte slice header.
-type sharedNode struct {
+type countNode struct {
 	key status.MapKey
 	vec vecRef
 }
 
-func (n *sharedNode) internKey() *status.MapKey { return &n.key }
+func (n *countNode) internKey() *status.MapKey { return &n.key }
 
 // Vector slab chunks grow geometrically, like nodeSlabOf's: the first
 // holds vecFirstChunk int64s and each later one twice its predecessor,
@@ -80,7 +82,7 @@ type vecRef struct {
 	chunk, off uint32
 }
 
-func (s *vecSlab) alloc(stride int) (vecRef, []int64) {
+func (s *vecSlab) alloc(stride int) vecRef {
 	k := len(s.chunks)
 	if k == 0 || cap(s.chunks[k-1])-len(s.chunks[k-1]) < stride {
 		size := vecFirstChunk
@@ -92,7 +94,7 @@ func (s *vecSlab) alloc(stride int) (vecRef, []int64) {
 	c := &s.chunks[len(s.chunks)-1]
 	ref := vecRef{chunk: uint32(len(s.chunks) - 1), off: uint32(len(*c))}
 	*c = (*c)[:len(*c)+stride]
-	return ref, s.at(ref, stride)
+	return ref
 }
 
 // at returns the stride-long vector at ref.
@@ -127,9 +129,222 @@ type SharedCounts struct {
 	Hit                         bool
 }
 
-// SharedCounter is the long-lived substrate. Construct one per
-// (catalog variant, goal, end, horizon, options) — NewSharedCounter
-// pins those — and query it with any number of start statuses.
+// countKernel is the memoised depth-first counter. It is not safe for
+// concurrent use: one-shot runs own a throwaway kernel, and
+// SharedCounter serialises builds on its write lock.
+type countKernel struct {
+	e       *engine // deadline end+horizon
+	endOrd  int     // base deadline's ordinal
+	horizon int
+	stride  int // horizon+2
+
+	tab  internTableOf[*countNode]
+	slab nodeSlabOf[countNode]
+	vecs vecSlab
+	// zero is the one all-zero vector every pruned status points at:
+	// pruned statuses end no path, and they are most of a pruned build's
+	// statuses (96% of the horizon-4 Brandeis probe's).
+	zero vecRef
+
+	// ctl is the run control: noteNode per classified status, notePaths
+	// per folded terminal edge, natural dead end and terminal root, and a
+	// stop check per new status and per selection. nil never stops.
+	ctl *control
+	// capStatuses, when positive, stops a build once the table holds that
+	// many statuses.
+	capStatuses int
+
+	// Per-depth scratch sets for the DFS: selections hands out wscr[d] at
+	// depth d (engine.selScratch), and uscr[d] holds the candidate child's
+	// completed union for the memo probe. Sized once per window depth by
+	// reserve, never while a build is running.
+	wscr, uscr []bitset.Set
+
+	// newN and reusedN count interned statuses and memo hits since the
+	// owner last zeroed them.
+	newN, reusedN int64
+}
+
+// newCountKernel returns an empty kernel over e, whose deadline must be
+// end+horizon, charging e's run control.
+func newCountKernel(e *engine, end term.Term, horizon int) *countKernel {
+	k := &countKernel{e: e, endOrd: end.Ordinal(), horizon: horizon, stride: horizon + 2, ctl: e.ctl}
+	k.zero = k.vecs.alloc(k.stride)
+	return k
+}
+
+// vecOf returns the tally vector at ref.
+func (k *countKernel) vecOf(ref vecRef) []int64 {
+	return k.vecs.at(ref, k.stride)
+}
+
+// reserve sizes the per-depth scratch — the bitsets and the engine's
+// combination buffers — for a root at term t, so the DFS below it never
+// allocates scratch. Called between builds only: frames hold pointers
+// into wscr.
+func (k *countKernel) reserve(t term.Term) {
+	e := k.e
+	levels := e.end.Ordinal() - t.Ordinal()
+	if levels <= len(k.wscr) {
+		return
+	}
+	w := e.cat.Len()
+	sets := make([]bitset.Set, 2*levels)
+	for i := range sets {
+		sets[i] = e.arena.Make(w)
+	}
+	k.wscr, k.uscr = sets[:levels:levels], sets[levels:]
+	e.reserveScratches(levels)
+}
+
+// root answers one start status: its tally vector, looked up or built.
+// ok is false when the run stopped first; the vector then holds lower
+// bounds (all zero if the root itself was never classified).
+func (k *countKernel) root(st status.Status) (vec []int64, ok bool) {
+	key := st.MapKey()
+	h := dagHash(key)
+	if n := k.tab.lookup(h, key); n != nil {
+		k.reusedN++
+		return k.vecOf(n.vec), true
+	}
+	k.reserve(st.Term)
+	vec, ok = k.build(h, key, st, 0)
+	if vec == nil {
+		vec = make([]int64, k.stride)
+	}
+	return vec, ok
+}
+
+// mustStop charges one new status against the run control and reports
+// whether the build must unwind instead of classifying it.
+func (k *countKernel) mustStop() bool {
+	if k.ctl != nil && (k.ctl.halted() != stopNone || k.ctl.noteNode()) {
+		return true
+	}
+	return k.capStatuses > 0 && k.tab.n >= k.capStatuses
+}
+
+func (k *countKernel) notePath() {
+	if k.ctl != nil {
+		k.ctl.notePaths(1)
+	}
+}
+
+// build classifies a status not yet interned and computes its tally
+// vector, interning it on completion. depth is the distance from the
+// build's root: the root is classified in full, while a child reaches
+// build only after the caller ruled out the goal and deadline terminals.
+// On a stop it returns ok == false with the partial sums (nil when the
+// status was never classified), and interns nothing.
+func (k *countKernel) build(h uint64, key status.MapKey, st status.Status, depth int) ([]int64, bool) {
+	if k.mustStop() {
+		return nil, false
+	}
+	e := k.e
+	var cls nodeClass
+	var minTake int
+	if depth == 0 {
+		cls, minTake = e.classify(st)
+	} else {
+		cls, minTake = e.classifyPruned(st)
+	}
+	e.res.Nodes++
+	ref := k.zero
+	if cls != classPruned {
+		ref = k.vecs.alloc(k.stride)
+	}
+	vec := k.vecOf(ref)
+	switch cls {
+	case classGoal:
+		vec[0] = 1
+		for hz := clampHz(st.Term.Ordinal()-k.endOrd, k.horizon); hz <= k.horizon; hz++ {
+			vec[1+hz] = 1
+		}
+		k.notePath()
+	case classDeadline:
+		vec[0] = 1
+		k.notePath()
+	case classExpand:
+		if !k.expand(st, minTake, depth, vec) {
+			return vec, false
+		}
+	}
+	k.newN++
+	n := k.slab.alloc()
+	n.vec = ref
+	k.tab.insert(h, key, n)
+	return vec, true
+}
+
+// expand enumerates st's selections once, summing the children's
+// vectors into vec, and reports whether the enumeration completed.
+// Terminal children fold at the edge; interned children are memo hits;
+// the rest are built depth-first. A stop mid-enumeration also suppresses
+// the natural-dead-end verdict (unexpanded is not childless).
+func (k *countKernel) expand(st status.Status, minTake, depth int, vec []int64) bool {
+	e := k.e
+	next := st.Term.Next()
+	ord := int32(next.Ordinal())
+	goalFrom := clampHz(next.Ordinal()-k.endOrd, k.horizon)
+	lastLevel := !next.Before(e.end)
+	u := &k.uscr[depth]
+	childless, stopped := true, false
+	e.selScratch = &k.wscr[depth]
+	_ = e.selections(st, minTake, func(sel bitset.Set) error {
+		if k.ctl.interrupted() {
+			stopped = true
+			return errStopRun
+		}
+		childless = false
+		e.res.Edges++
+		u.CopyFrom(st.Completed)
+		u.UnionInPlace(sel)
+		if e.goal != nil && e.goal.Satisfied(*u) {
+			vec[0]++
+			for hz := goalFrom; hz <= k.horizon; hz++ {
+				vec[1+hz]++
+			}
+			k.notePath()
+			return nil
+		}
+		if lastLevel {
+			vec[0]++
+			k.notePath()
+			return nil
+		}
+		ck := status.MapKey{Ord: ord, Set: u.CompactKey()}
+		ch := dagHash(ck)
+		if n := k.tab.lookup(ch, ck); n != nil {
+			k.reusedN++
+			addVec(vec, k.vecOf(n.vec))
+			return nil
+		}
+		x := e.arena.Union(st.Completed, sel)
+		cst := status.Status{Term: next, Completed: x, Options: e.cat.OptionsArena(&e.arena, x, next)}
+		cv, ok := k.build(ch, ck, cst, depth+1)
+		// The recursion repointed selScratch at its own depth's set;
+		// restore ours before selections hands out the next sel.
+		e.selScratch = &k.wscr[depth]
+		addVec(vec, cv)
+		if !ok {
+			stopped = true
+			return errStopRun
+		}
+		return nil
+	})
+	if childless && !stopped {
+		// Natural dead end: a generated maximal path that reaches no goal
+		// under any deadline.
+		vec[0] = 1
+		k.notePath()
+	}
+	return !stopped
+}
+
+// SharedCounter is the long-lived substrate: a countKernel shared across
+// queries behind a read-write lock. Construct one per (catalog variant,
+// goal, end, horizon, options) — NewSharedCounter pins those — and query
+// it with any number of start statuses.
 type SharedCounter struct {
 	mu sync.RWMutex
 
@@ -142,22 +357,10 @@ type SharedCounter struct {
 
 	maxStatuses int64
 
-	e    *engine
-	tab  internTableOf[*sharedNode]
-	slab nodeSlabOf[sharedNode]
-	vecs vecSlab
-
-	// Per-depth scratch sets for the DFS: selections hands out
-	// wscr[d] at depth d (engine.selScratch), and uscr[d] holds the
-	// candidate child's completed union for the memo probe. Pointers,
-	// not values — growing the slices must not move the set an inner
-	// frame still references.
-	wscr, uscr []*bitset.Set
-
-	// steps gates the periodic context check during builds.
-	steps int64
-	// Per-build split, folded into stats when the build finishes.
-	newN, reusedN int64
+	k *countKernel
+	// ctl is the current build's control (the caller's context, no
+	// budget), reinitialised per build so a build allocates none.
+	ctl control
 
 	// hits counts read-locked root lookups, so the hot path never takes
 	// the write lock; the remaining stats are written under it.
@@ -201,11 +404,9 @@ func NewSharedCounter(cat *catalog.Catalog, end term.Term, horizon int, goal deg
 // reset drops every interned status and the engine (whose arena holds
 // their completed/option sets) wholesale. Caller holds mu.
 func (c *SharedCounter) reset() {
-	c.e = newEngine(c.cat, c.end.Add(c.horizon), c.goal, c.pruners, c.opt)
-	c.tab = internTableOf[*sharedNode]{}
-	c.slab = nodeSlabOf[sharedNode]{}
-	c.vecs = vecSlab{}
-	c.wscr, c.uscr = nil, nil
+	e := newEngine(c.cat, c.end.Add(c.horizon), c.goal, c.pruners, c.opt)
+	c.k = newCountKernel(e, c.end, c.horizon)
+	c.k.capStatuses = int(2 * c.maxStatuses)
 }
 
 // Stats snapshots the lifetime tallies.
@@ -213,7 +414,7 @@ func (c *SharedCounter) Stats() SharedStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s := c.stats
-	s.Statuses = int64(c.tab.n)
+	s.Statuses = int64(c.k.tab.n)
 	s.Hits = c.hits.Load()
 	return s
 }
@@ -228,13 +429,11 @@ func (c *SharedCounter) Horizon() int { return c.horizon }
 // queries from overlapping regions reuse every status already built,
 // and a repeated start is a pure read-locked lookup.
 //
-// Counts are bit-identical to a per-deadline GoalCount run from the same
-// start: classification and enumeration are the same engine code, and
-// the per-deadline split follows the multi-deadline argument (see
-// MultiResult). Unlike budgeted one-shot runs there are no partial
-// results: a cancelled or over-budget build returns an error (already
-// built subtrees are kept for the next caller unless the hard cap was
-// hit, which evicts).
+// Counts are bit-identical to a GoalCountMulti run from the same start:
+// both run the same kernel code. Unlike budgeted one-shot runs there are
+// no partial results: a cancelled or over-budget build returns an error
+// (already built subtrees are kept for the next caller unless the hard
+// cap was hit, which evicts).
 func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (SharedCounts, error) {
 	if start.Term.IsZero() || start.Term.Calendar() != c.cat.Calendar() {
 		return SharedCounts{}, fmt.Errorf("explore: SharedCounter: bad start term %v", start.Term)
@@ -246,8 +445,8 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 	h := dagHash(key)
 
 	c.mu.RLock()
-	if n := c.tab.lookup(h, key); n != nil {
-		out := c.answer(c.vecOf(n), true)
+	if n := c.k.tab.lookup(h, key); n != nil {
+		out := c.answer(c.k.vecOf(n.vec), true)
 		c.mu.RUnlock()
 		c.hits.Add(1)
 		return out, nil
@@ -256,36 +455,43 @@ func (c *SharedCounter) Counts(ctx context.Context, start status.Status) (Shared
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := c.tab.lookup(h, key); n != nil { // raced with another builder
+	k := c.k
+	if n := k.tab.lookup(h, key); n != nil { // raced with another builder
 		c.hits.Add(1)
-		return c.answer(c.vecOf(n), true), nil
+		return c.answer(k.vecOf(n.vec), true), nil
 	}
-	c.newN, c.reusedN = 0, 0
+	k.ctl = nil
+	if done := ctx.Done(); done != nil {
+		c.ctl = control{done: done, ctx: ctx}
+		k.ctl = &c.ctl
+	}
+	k.newN, k.reusedN = 0, 0
 	c.stats.Builds++
-	vec, err := c.build(ctx, h, key, start, 0)
-	c.stats.NewStatuses += c.newN
-	c.stats.ReusedStatuses += c.reusedN
-	if err != nil {
-		if int64(c.tab.n) >= 2*c.maxStatuses {
+	k.reserve(start.Term)
+	vec, ok := k.build(h, key, start, 0)
+	k.ctl = nil
+	c.stats.NewStatuses += k.newN
+	c.stats.ReusedStatuses += k.reusedN
+	if !ok {
+		err := ctx.Err()
+		if err == nil {
+			err = errSharedBudget
+		}
+		if int64(k.tab.n) >= 2*c.maxStatuses {
 			c.stats.Evictions++
 			c.reset()
 		}
 		return SharedCounts{}, err
 	}
 	out := c.answer(vec, false)
-	out.NewStatuses, out.ReusedStatuses = c.newN, c.reusedN
-	if int64(c.tab.n) > c.maxStatuses {
+	out.NewStatuses, out.ReusedStatuses = k.newN, k.reusedN
+	if int64(k.tab.n) > c.maxStatuses {
 		// Over budget: the answer stands (every tally is complete), but
 		// the substrate is dropped so memory returns to the bound.
 		c.stats.Evictions++
 		c.reset()
 	}
 	return out, nil
-}
-
-// vecOf returns an interned node's tally vector.
-func (c *SharedCounter) vecOf(n *sharedNode) []int64 {
-	return c.vecs.at(n.vec, c.horizon+2)
 }
 
 func (c *SharedCounter) answer(vec []int64, hit bool) SharedCounts {
@@ -297,106 +503,8 @@ func (c *SharedCounter) answer(vec []int64, hit bool) SharedCounts {
 // errSharedBudget aborts a build that would exceed the hard status cap.
 var errSharedBudget = fmt.Errorf("explore: shared counter over status budget")
 
-// scratch ensures the per-depth scratch sets exist through depth d.
-func (c *SharedCounter) scratch(d int) {
-	for len(c.wscr) <= d {
-		c.wscr = append(c.wscr, new(bitset.Set))
-		c.uscr = append(c.uscr, new(bitset.Set))
-	}
-}
-
-// build computes the tally vector for a status not yet interned, interning
-// it on completion (never before: a cancelled build must not leave
-// half-filled vectors behind). Caller holds the write lock and has
-// already missed on (h, key).
-func (c *SharedCounter) build(ctx context.Context, h uint64, key status.MapKey, st status.Status, depth int) ([]int64, error) {
-	if c.steps++; c.steps&255 == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if int64(c.tab.n) >= 2*c.maxStatuses {
-			return nil, errSharedBudget
-		}
-	}
-	e := c.e
-	stride := c.horizon + 2
-	ref, vec := c.vecs.alloc(stride)
-	endOrd := c.end.Ordinal()
-
-	cls, minTake := e.classify(st)
-	switch cls {
-	case classGoal:
-		vec[0] = 1
-		for hz := clampHz(st.Term.Ordinal()-endOrd, c.horizon); hz <= c.horizon; hz++ {
-			vec[1+hz] = 1
-		}
-	case classDeadline:
-		vec[0] = 1
-	case classPruned:
-		// zeros
-	case classExpand:
-		c.scratch(depth)
-		next := st.Term.Next()
-		ord := int32(next.Ordinal())
-		goalFrom := clampHz(next.Ordinal()-endOrd, c.horizon)
-		lastLevel := !next.Before(e.end)
-		childless := true
-		e.selScratch = c.wscr[depth]
-		err := e.selections(st, minTake, func(sel bitset.Set) error {
-			childless = false
-			u := c.uscr[depth]
-			u.CopyFrom(st.Completed)
-			u.UnionInPlace(sel)
-			// Terminal children fold at the edge, exactly as dagCount:
-			// their whole contribution is known here, so they are never
-			// interned.
-			if e.goal.Satisfied(*u) {
-				vec[0]++
-				for hz := goalFrom; hz <= c.horizon; hz++ {
-					vec[1+hz]++
-				}
-				return nil
-			}
-			if lastLevel {
-				vec[0]++
-				return nil
-			}
-			ck := status.MapKey{Ord: ord, Set: u.CompactKey()}
-			chash := dagHash(ck)
-			if n := c.tab.lookup(chash, ck); n != nil {
-				c.reusedN++
-				addVec(vec, c.vecOf(n))
-				return nil
-			}
-			x := e.arena.Union(st.Completed, sel)
-			cst := status.Status{Term: next, Completed: x, Options: e.cat.OptionsArena(&e.arena, x, next)}
-			cv, err := c.build(ctx, chash, ck, cst, depth+1)
-			// The recursion repointed selScratch at its own depth's set;
-			// restore ours before selections hands out the next sel.
-			e.selScratch = c.wscr[depth]
-			if err != nil {
-				return err
-			}
-			addVec(vec, cv)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if childless {
-			// Natural dead end: a generated maximal path that reaches no
-			// goal under any deadline.
-			vec[0] = 1
-		}
-	}
-
-	c.newN++
-	n := c.slab.alloc()
-	n.vec = ref
-	c.tab.insert(h, key, n)
-	return vec, nil
-}
-
+// addVec adds src into dst; a nil src (a status cut before it was
+// classified) adds nothing.
 func addVec(dst, src []int64) {
 	for i, v := range src {
 		dst[i] += v

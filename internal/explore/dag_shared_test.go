@@ -46,36 +46,6 @@ func TestMultiHorizonMatchesPerDeadlineRuns(t *testing.T) {
 	}
 }
 
-// TestMultiHorizonParallelMatchesSerial pins the parallel multi-deadline
-// build (merged per-worker goal buckets) against the serial one.
-func TestMultiHorizonParallelMatchesSerial(t *testing.T) {
-	const horizon = 4
-	for seed := int64(1); seed <= 6; seed++ {
-		rc := newRandomCase(t, seed)
-		pruners := PaperPruners(rc.cat, rc.req, rc.opt.MaxPerTerm)
-		serial, err := GoalCountMulti(rc.cat, rc.startStatus(), rc.end, horizon, rc.req, pruners, rc.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		popt := rc.opt
-		popt.Workers = 4
-		par, err := GoalCountMulti(rc.cat, rc.startStatus(), rc.end, horizon, rc.req, pruners, popt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range serial.GoalPathsAt {
-			if serial.GoalPathsAt[i] != par.GoalPathsAt[i] {
-				t.Errorf("seed %d deadline end+%d: serial %d != parallel %d",
-					seed, i, serial.GoalPathsAt[i], par.GoalPathsAt[i])
-			}
-		}
-		if serial.Paths != par.Paths || serial.GoalPaths != par.GoalPaths {
-			t.Errorf("seed %d: totals serial %d/%d != parallel %d/%d",
-				seed, serial.Paths, serial.GoalPaths, par.Paths, par.GoalPaths)
-		}
-	}
-}
-
 // memberPositions derives a deterministic set of cohort-like positions —
 // (completed set, start term) pairs — for the shared-counter property
 // tests. Positions need not be reachable histories: counting semantics

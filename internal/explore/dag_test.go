@@ -3,12 +3,15 @@ package explore
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/brandeis"
 	"repro/internal/catalog"
 	"repro/internal/degree"
+	"repro/internal/status"
 )
 
 // dagOpt returns opt switched onto the DAG substrate.
@@ -75,8 +78,9 @@ func TestDAGGoalCountBrandeis(t *testing.T) {
 
 // TestTreeDAGEquivalenceRandom is the substrate-equivalence property
 // suite: on randomized catalogs and queries, the DAG engine's deadline
-// counts and goal counts (under both paper pruners, and with a parallel
-// construction pool) are bit-identical to the serial tree walk's.
+// counts and goal counts (under both paper pruners, with Workers set or
+// not — DAG counts are serial either way) are bit-identical to the
+// serial tree walk's.
 func TestTreeDAGEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rc := newRandomCase(t, seed)
@@ -122,34 +126,13 @@ func TestTreeDAGEquivalenceRandom(t *testing.T) {
 				t.Fatalf("seed %d workers=%d: unpruned dag %d/%d != tree %d/%d",
 					seed, workers, dagN.Paths, dagN.GoalPaths, treeN.Paths, treeN.GoalPaths)
 			}
-			if workers > 1 && !dagG.Parallel && dagG.Nodes > 1 {
-				t.Errorf("seed %d: parallel DAG build did not report Parallel", seed)
-			}
-		}
-
-		// DAG structural tallies (distinct statuses, distinct transitions,
-		// per-strategy prune split) are deterministic: the parallel
-		// construction must reproduce the serial builder's exactly.
-		serialDAG, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, dagOpt(rc.opt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		popt := dagOpt(rc.opt)
-		popt.Workers = 4
-		parDAG, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, popt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serialDAG.Nodes != parDAG.Nodes || serialDAG.Edges != parDAG.Edges ||
-			serialDAG.PrunedTime != parDAG.PrunedTime || serialDAG.PrunedAvail != parDAG.PrunedAvail {
-			t.Fatalf("seed %d: parallel DAG tallies %+v != serial %+v", seed, parDAG, serialDAG)
 		}
 	}
 }
 
 // TestTreeDAGWhatIfEquivalence: the shared-DAG what-if engine delivers
 // exactly the per-candidate deltas the per-candidate tree counts do, on
-// randomized catalogs, under both pruners and a parallel build pool.
+// randomized catalogs, with Workers set or not.
 func TestTreeDAGWhatIfEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rc := newRandomCase(t, seed)
@@ -371,5 +354,121 @@ func TestDAGWhatIfEndAdjacent(t *testing.T) {
 	}
 	if !found {
 		t.Error("11A candidate missing")
+	}
+}
+
+// TestDAGStructuralGolden pins the DAG substrate's served tallies — path
+// counts and the structural Nodes/Edges/prune split — on fixed queries to
+// values recorded from the forward-prefix builder the memoised kernel
+// replaced, so served summaries stay byte-identical across counter
+// rewrites. The kernel interns and classifies exactly the statuses that
+// builder did: terminal children fold at the edge, every other distinct
+// status is classified and expanded once, and a memo hit charges only
+// the edge that reached it.
+func TestDAGStructuralGolden(t *testing.T) {
+	type tallies struct {
+		Paths, GoalPaths, Nodes, Edges, PrunedTime, PrunedAvail int64
+	}
+	of := func(r Result) tallies {
+		if !r.DAG || r.Stopped != "" {
+			t.Fatalf("result DAG=%v stopped=%q", r.DAG, r.Stopped)
+		}
+		return tallies{r.Paths, r.GoalPaths, r.Nodes, r.Edges, r.PrunedTime, r.PrunedAvail}
+	}
+	check := func(name string, got, want tallies) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: got %+v, want %+v", name, got, want)
+		}
+	}
+
+	fig := fig3Catalog(t)
+	fopt := dagOpt(Options{MaxPerTerm: 3})
+	r, err := DeadlineCount(fig, emptyStart(fig, f11), s13, fopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fig3 deadline", of(r), tallies{3, 0, 7, 8, 0, 0})
+	fg := mustGoalSet(t, fig, "11A", "21A")
+	r, err = GoalCount(fig, emptyStart(fig, f11), s13, fg, PaperPruners(fig, fg, 3), fopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fig3 goal", of(r), tallies{2, 2, 5, 6, 0, 1})
+
+	cat := brandeis.Catalog()
+	goal, err := brandeis.Major(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := dagOpt(Options{MaxPerTerm: brandeis.MaxPerTerm})
+	pruners := PaperPruners(cat, goal, opt.MaxPerTerm)
+	startAt := func(d int) status.Status {
+		return status.New(cat, brandeis.StartForSemesters(d), bitset.New(cat.Len()))
+	}
+	r, err = DeadlineCount(cat, startAt(4), brandeis.EndTerm(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("brandeis deadline d=4", of(r), tallies{117030, 0, 910, 65539, 0, 0})
+	r, err = GoalCount(cat, startAt(5), brandeis.EndTerm(), goal, pruners, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("brandeis goal d=5", of(r), tallies{6716, 468, 120, 1808, 54, 35})
+	mr, err := GoalCountMulti(cat, startAt(4), brandeis.EndTerm(), 4, goal, pruners, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("brandeis horizon-4 probe", of(mr.Result), tallies{165047, 165047, 105553, 298243, 0, 101816})
+	if want := []int64{117, 165047, 165047, 165047, 165047}; !slices.Equal(mr.GoalPathsAt, want) {
+		t.Errorf("horizon-4 probe GoalPathsAt = %v, want %v", mr.GoalPathsAt, want)
+	}
+}
+
+// TestDAGWhatIfBudgetPrefix: a budget-stopped DAG what-if delivers the
+// candidates whose counts completed before the stop — a non-empty prefix
+// of the enumeration order, each entry equal to the unbudgeted run's —
+// and names the bound, the same contract as the tree path.
+func TestDAGWhatIfBudgetPrefix(t *testing.T) {
+	cat := brandeis.Catalog()
+	goal, err := brandeis.Major(cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := status.New(cat, brandeis.StartForSemesters(4), bitset.New(cat.Len()))
+	opt := dagOpt(Options{MaxPerTerm: brandeis.MaxPerTerm})
+	pruners := PaperPruners(cat, goal, opt.MaxPerTerm)
+	collect := func(opt Options) ([]SelectionImpact, string) {
+		var out []SelectionImpact
+		stopped, err := CompareSelectionsStream(context.Background(), cat, start, brandeis.EndTerm(), goal, pruners, opt,
+			func(im SelectionImpact) error {
+				out = append(out, im)
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, stopped
+	}
+	full, stopped := collect(opt)
+	if stopped != "" || len(full) < 2 {
+		t.Fatalf("unbudgeted what-if: %d candidates, stopped=%q", len(full), stopped)
+	}
+	bopt := opt
+	bopt.Budget = Budget{MaxNodes: 30}
+	got, stopped := collect(bopt)
+	if stopped != StopMaxNodes {
+		t.Fatalf("budgeted what-if stopped = %q, want %q", stopped, StopMaxNodes)
+	}
+	if len(got) == 0 || len(got) >= len(full) {
+		t.Fatalf("budgeted what-if delivered %d of %d candidates, want a non-empty proper prefix", len(got), len(full))
+	}
+	for i, im := range got {
+		want := full[i]
+		if !im.Selection.Equal(want.Selection) || im.Paths != want.Paths ||
+			im.GoalPaths != want.GoalPaths || im.NextOptions != want.NextOptions {
+			t.Fatalf("candidate %d: budgeted %+v != unbudgeted %+v", i, im, want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -116,14 +117,16 @@ type Options struct {
 	// per-semester workload ceilings, co-requisite groups, …); see
 	// Constraint. A rejected selection appears on no generated path.
 	Constraints []Constraint
-	// Workers, when >1, fans counting-mode runs out across that many
+	// Workers, when >1, fans counting runs out across that many
 	// goroutines drawing subtrees from a shared work pool (starved workers
-	// re-split skewed subtrees). Tallies are exact; with MergeStatuses the
-	// workers share a sharded concurrent memo, and Nodes/Edges then count
-	// memo misses, which can vary slightly between runs (path counts never
-	// do). Ignored by materialising runs and the ranked algorithm, which
-	// stay serial; Result.Parallel reports whether a run actually fanned
-	// out. Negative values are rejected by validation.
+	// re-split skewed subtrees) — tree-walk counting only. Tallies are
+	// exact; with MergeStatuses the workers share a sharded concurrent
+	// memo, and Nodes/Edges then count memo misses, which can vary
+	// slightly between runs (path counts never do). Materialising runs,
+	// the ranked algorithm and every DAG-substrate run (counts,
+	// GoalCountMulti, what-if, streams) stay serial; Result.Parallel
+	// reports whether a run actually fanned out. Negative values are
+	// rejected by validation.
 	Workers int
 	// MaxPathCost, when positive, makes the ranked algorithm return only
 	// paths whose total ranking cost is at most this threshold (§4.3.1's
@@ -172,10 +175,11 @@ type Result struct {
 	PrunedTime, PrunedAvail int64
 	// Elapsed is the wall-clock generation time.
 	Elapsed time.Duration
-	// Parallel reports whether a counting run actually fanned out across
-	// Options.Workers goroutines. It stays false when Workers <= 1, for
-	// materialising and ranked runs (always serial), and when the serial
-	// pre-split already consumed the whole tree.
+	// Parallel reports whether a tree-walk counting run actually fanned
+	// out across Options.Workers goroutines. It stays false when Workers
+	// <= 1, for materialising, ranked and DAG-substrate runs (always
+	// serial), and when the serial pre-split already consumed the whole
+	// tree.
 	Parallel bool
 	// Stopped names why the run ended early — StopCanceled, StopDeadline,
 	// StopMaxNodes or StopMaxPaths — and is empty for a run that exhausted
@@ -249,7 +253,7 @@ type engine struct {
 	arena bitset.Arena
 	// selScratch, when set, makes selections hand out this one reused set
 	// instead of a fresh arena allocation per selection. Only the DAG's
-	// counting builder enables it: that path consumes each selection before
+	// counting kernel enables it: that path consumes each selection before
 	// asking for the next and retains nothing, so the per-edge arena
 	// allocation (never recycled) would be pure waste at DAG scale.
 	selScratch *bitset.Set
@@ -312,7 +316,7 @@ func (e *engine) classify(st status.Status) (nodeClass, int) {
 
 // classifyPruned is classify's pruning stage, for callers that have
 // already ruled out the goal and deadline terminals (the DAG's counting
-// builder, which folds terminal children without ever deriving their
+// kernel, which folds terminal children without ever deriving their
 // option sets).
 func (e *engine) classifyPruned(st status.Status) (nodeClass, int) {
 	minTake := 0
@@ -362,6 +366,27 @@ func (e *engine) popScratch() *combin.Scratch {
 
 func (e *engine) pushScratch(s *combin.Scratch) {
 	e.scratches = append(e.scratches, s)
+}
+
+// reserveScratches tops the free list up to k buffers, each sized for any
+// option set of the catalog and any selection size, all carved from one
+// allocation, so a walk nesting k enumerations deep allocates none. Call
+// it only while no enumeration is running (every buffer is then on the
+// free list).
+func (e *engine) reserveScratches(k int) {
+	have := len(e.scratches)
+	if have >= k {
+		return
+	}
+	n, m := e.cat.Len(), e.opt.MaxPerTerm
+	if m <= 0 || m > n {
+		m = n
+	}
+	more := combin.NewScratches(k-have, n, m)
+	e.scratches = slices.Grow(e.scratches, len(more))
+	for i := range more {
+		e.scratches = append(e.scratches, &more[i])
+	}
 }
 
 // advance is status.Advance drawing the child's completed and option sets

@@ -74,12 +74,13 @@ func GoalCountMulti(cat *catalog.Catalog, start status.Status, end term.Term, ho
 }
 
 // GoalCountMultiCtx counts goal paths for every deadline in
-// [end, end+horizon] from one DAG run: the forward prefix DP already
-// passes through the extended semesters, so bucketing goal folds by
-// depth answers all horizon+1 deadlines for the cost of one run at the
-// farthest (see MultiResult). It always runs on the DAG substrate —
-// Options.Substrate is ignored — and requires a goal. horizon == 0
-// degenerates to GoalCountCtx on SubstrateDAG.
+// [end, end+horizon] from one DAG run: the counting kernel keeps a
+// per-deadline goal tally in every status's vector, so one run at the
+// farthest deadline answers all horizon+1 deadlines (see MultiResult).
+// It always runs on the DAG substrate, serially — Options.Substrate and
+// Options.Workers are ignored — and requires a goal. horizon == 0
+// degenerates to GoalCountCtx on SubstrateDAG. A stopped run's tallies
+// are lower bounds, as for any counting run.
 func GoalCountMultiCtx(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, horizon int, goal degree.Goal, pruners []Pruner, opt Options) (MultiResult, error) {
 	if goal == nil {
 		return MultiResult{}, fmt.Errorf("explore: GoalCountMulti requires a goal")
@@ -90,7 +91,8 @@ func GoalCountMultiCtx(ctx context.Context, cat *catalog.Catalog, start status.S
 	if err := validate(cat, start, end, opt); err != nil {
 		return MultiResult{}, err
 	}
-	return runDAGMulti(ctx, cat, start, end, horizon, goal, pruners, opt)
+	res, goalPaths := countDAG(ctx, cat, start, end, horizon, goal, pruners, opt)
+	return MultiResult{GoalPathsAt: append([]int64(nil), goalPaths...), Result: res}, nil
 }
 
 // Stream runs a deadline-driven (goal == nil) or goal-driven exploration

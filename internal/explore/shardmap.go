@@ -9,15 +9,11 @@ import (
 // memoShards is the shard count of the cross-worker concurrent maps. 64
 // shards keep lock contention negligible at any realistic worker count
 // while the per-shard maps stay dense.
-const (
-	memoShardBits = 6
-	memoShards    = 1 << memoShardBits
-)
+const memoShards = 64
 
 // shardedMap is a 64-way sharded concurrent map keyed by status identity.
-// It backs the parallel counting memo (V = [2]int64 subtree tallies); the
-// parallel DAG builder stripes its open-addressed interner the same way
-// (see dagInternShards). Values must be insert-deterministic or idempotent
+// It backs the parallel counting memo (V = [2]int64 subtree tallies).
+// Values must be insert-deterministic or idempotent
 // under races: two workers inserting the same key must be content to keep
 // either value.
 type shardedMap[V any] struct {

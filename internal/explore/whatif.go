@@ -73,17 +73,16 @@ func CompareSelectionsCtx(ctx context.Context, cat *catalog.Catalog, start statu
 // CompareSelectionsCtx: each candidate selection is delivered to fn as
 // soon as its count completes, in enumeration order (not impact order —
 // sort client-side, or use CompareSelectionsCtx for the sorted slice).
-// Every delivered impact carries exact tallies. fn returning ErrStopEmit
-// ends the run cleanly with stopped == StopSink; any other error aborts
-// the run and is returned.
+// Every delivered impact carries exact tallies; a cancelled or
+// over-budget run delivers the candidates scored before the stop and
+// returns the stop reason. fn returning ErrStopEmit ends the run cleanly
+// with stopped == StopSink; any other error aborts the run and is
+// returned.
 //
 // Unless Options.Substrate forces the tree walk, candidates are scored
-// over one shared interned-status DAG (see whatIfDAG): subtrees common to
-// several candidates are counted once, and all impacts fall out of a
-// single bottom-up DP pass. The tree path re-counts per candidate but can
-// attribute partial work, so a budget-stopped tree run delivers the
-// candidates scored before the stop while a stopped DAG run delivers
-// none (per-candidate shares of a shared build are unattributable).
+// on one DAG counting kernel (see whatIfDAG): subtrees common to several
+// candidates are counted once. The tree path re-counts each candidate
+// from scratch.
 func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, fn func(SelectionImpact) error) (string, error) {
 	if goal == nil {
 		return "", fmt.Errorf("explore: CompareSelections requires a goal")
@@ -140,78 +139,60 @@ func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start st
 	return stopped, err
 }
 
-// whatIfDAG scores every candidate selection over one shared
-// interned-status DAG: each candidate's resulting status is interned as a
-// root, the DAG below all roots is built once (statuses reachable from
-// several candidates are generated and expanded once, not once per
-// candidate), and a single bottom-up DP pass yields every candidate's
-// exact {paths, goal paths} delta. Candidates landing at the end semester
+// whatIfDAG scores every candidate selection on one counting kernel:
+// each candidate's resulting status is counted as a kernel root, so
+// statuses reachable from several candidates are classified and expanded
+// once, not once per candidate. Candidates landing at the end semester
 // are their own path endpoint and are scored inline, exactly as the tree
-// path does. A budget-stopped build delivers no candidates — the shared
-// DP cannot attribute the partial work — and returns the stop reason.
+// path does. Each candidate is delivered as soon as its count completes,
+// in enumeration order; the run stops at the first candidate whose count
+// is interrupted (one control and budget span all candidates), so a
+// stopped run delivers exactly the candidates scored before the stop.
 func whatIfDAG(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, fn func(SelectionImpact) error) (string, error) {
 	e := newEngine(cat, end, goal, pruners, opt)
 	e.ctl = newControl(ctx, opt.Budget)
 	type candidate struct {
-		w                bitset.Set
-		child            status.Status
-		n                *dagNode // nil when scored inline (end-semester child)
-		paths, goalPaths int64
-		nextOptions      int
-		pending          bool // child must be interned as a DAG root
+		impact SelectionImpact
+		child  status.Status
+		inline bool // end-semester child, scored without the kernel
 	}
-	// Candidate enumeration runs before the builder exists: the builder
-	// installs the engine's selection scratch (engine.selScratch), and the
-	// candidate sets collected here must be retained, not reused.
+	// Candidates are enumerated before any count runs: the kernel installs
+	// the engine's selection scratch (engine.selScratch), and the candidate
+	// sets collected here must be retained, not reused.
 	var cands []candidate
-	stopped := ""
 	err := e.selections(start, 0, func(w bitset.Set) error {
-		if r := e.ctl.haltReason(); r != "" {
-			stopped = r
+		if e.ctl.haltReason() != "" {
 			return errStopRun
 		}
 		child := e.advance(start, w)
-		c := candidate{w: w, nextOptions: child.Options.Len()}
+		c := candidate{impact: SelectionImpact{Selection: w, NextOptions: child.Options.Len()}, child: child}
 		if !child.Term.Before(end) {
 			// The child sits at the end semester: it is itself the path
 			// endpoint, a goal path iff the goal is now satisfied.
-			c.paths = 1
+			c.inline, c.impact.Paths = true, 1
 			if e.goal.Satisfied(child.Completed) {
-				c.goalPaths = 1
+				c.impact.GoalPaths = 1
 			}
-		} else {
-			c.child, c.pending = child, true
 		}
 		cands = append(cands, c)
 		return nil
 	})
 	if err != nil && !errors.Is(err, errStopRun) {
-		return stopped, err
+		return "", err
 	}
-	b := newDAGBuilder(e, dagTally)
-	for i := range cands {
-		if cands[i].pending {
-			cands[i].n = b.add(cands[i].child, 0)
-		}
-	}
-	if stopped == "" {
-		if opt.Workers > 1 {
-			b.buildParallel(opt.Workers)
-		} else {
-			b.build()
-		}
-		b.retally()
-		stopped = e.ctl.reason()
-	}
-	if stopped != "" {
-		return stopped, nil
-	}
+	k := newCountKernel(e, end, 0)
 	for _, c := range cands {
-		if c.n != nil {
-			c.paths, c.goalPaths = c.n.tally[0], c.n.tally[1]
+		if r := e.ctl.haltReason(); r != "" {
+			return r, nil
 		}
-		impact := SelectionImpact{Selection: c.w, GoalPaths: c.goalPaths, Paths: c.paths, NextOptions: c.nextOptions}
-		if err := fn(impact); err != nil {
+		if !c.inline {
+			vec, ok := k.root(c.child)
+			if !ok {
+				return e.ctl.reason(), nil
+			}
+			c.impact.Paths, c.impact.GoalPaths = vec[0], vec[1]
+		}
+		if err := fn(c.impact); err != nil {
 			if errors.Is(err, ErrStopEmit) {
 				return StopSink, nil
 			}
