@@ -6,9 +6,10 @@
 GO ?= go
 
 .PHONY: check vet lint build test race race-short bench bench-smoke fuzz-short \
-	bench-regress bench-baseline routes-guard chaos-short cohort-short loc
+	bench-regress bench-baseline routes-guard chaos-short cohort-short loc \
+	perfbench-check
 
-check: lint build routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
+check: lint build perfbench-check routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
 
 # API.md's endpoint table and the registered mux patterns must stay
 # equal in both directions — a new route lands with its documentation
@@ -32,6 +33,12 @@ lint: vet
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module (replace repro => ../), so the root
+# ./... patterns never compile it: vet and test it here, so an API change
+# in the main module that breaks the load harness fails the gate.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 test:
 	$(GO) test ./...
 
@@ -40,7 +47,7 @@ race:
 
 # Fast race gate over the request-lifecycle surface (engine cancellation
 # + HTTP layer); the tight -timeout doubles as a hang detector for the
-# parallel-drain and semaphore paths.
+# cancellation and semaphore paths.
 race-short:
 	$(GO) test -race -timeout 90s ./internal/explore/... ./internal/server/...
 

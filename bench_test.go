@@ -203,10 +203,10 @@ func BenchmarkCountTreeVsDAG(b *testing.B) {
 }
 
 // BenchmarkWhatIfDelta compares what-if analysis (per-candidate path
-// deltas for the next term) on the two substrates. The DAG variant builds
-// the interned DAG once below the candidate roots and reads every delta
-// from shared bottom-up tallies instead of re-walking a tree per
-// candidate.
+// deltas for the next term) on the two substrates. The tree variant
+// counts each candidate with a plain tree walk; the DAG variant counts
+// every candidate on one counting kernel, so statuses shared between
+// candidates are expanded once.
 func BenchmarkWhatIfDelta(b *testing.B) {
 	substrates := []struct {
 		name string
@@ -271,23 +271,6 @@ func BenchmarkTranscriptReplay(b *testing.B) {
 
 // --- Ablations (DESIGN.md design choices) -------------------------------
 
-// BenchmarkAblationMergeStatuses compares plain tree counting against
-// status-interned (memoised) counting on the same query.
-func BenchmarkAblationMergeStatuses(b *testing.B) {
-	for _, merge := range []bool{false, true} {
-		b.Run(fmt.Sprintf("merge=%v", merge), func(b *testing.B) {
-			opt := benchOpt()
-			opt.MergeStatuses = merge
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := explore.DeadlineCount(benchCat, benchStart(4), brandeis.EndTerm(), opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationMinTakeFilter compares child-side time pruning (the
 // paper's algorithm) against generation-side selection filtering.
 func BenchmarkAblationMinTakeFilter(b *testing.B) {
@@ -335,51 +318,6 @@ func BenchmarkAblationEmptyPolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := explore.DeadlineCount(benchCat, benchStart(3), brandeis.EndTerm(), opt); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationParallelCount measures counting-mode speedup from the
-// Workers fan-out on the 5-semester deadline query.
-func BenchmarkAblationParallelCount(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := benchOpt()
-			opt.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := explore.DeadlineCount(benchCat, benchStart(5), brandeis.EndTerm(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Paths != 95715 {
-					b.Fatalf("paths = %d", res.Paths)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationParallelMergeCount combines the Workers fan-out with the
-// MergeStatuses memo: workers share the engine's sharded concurrent memo,
-// so the collapsed DAG is counted once across the pool. Path counts are
-// pinned to the serial value — the memo never trades exactness for speed.
-func BenchmarkAblationParallelMergeCount(b *testing.B) {
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := benchOpt()
-			opt.Workers = workers
-			opt.MergeStatuses = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := explore.DeadlineCount(benchCat, benchStart(5), brandeis.EndTerm(), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Paths != 95715 {
-					b.Fatalf("paths = %d", res.Paths)
 				}
 			}
 		})

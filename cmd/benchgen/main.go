@@ -10,7 +10,7 @@
 //
 // -full counts the explosive goal-driven rows (6-7 semesters) by full
 // tree enumeration exactly like the paper (minutes of runtime); by
-// default those rows use status-interned counting, which produces
+// default those rows count on the DAG counting kernel, which produces
 // identical path counts in seconds but whose runtime column is marked
 // with * as not comparable. EXPERIMENTS.md records paper-vs-measured
 // values from this tool's output.

@@ -219,7 +219,6 @@ type studentFlags struct {
 	end       *string
 	m         *int
 	substrate *string
-	workers   *int
 }
 
 func addStudentFlags(fs *flag.FlagSet) studentFlags {
@@ -229,7 +228,6 @@ func addStudentFlags(fs *flag.FlagSet) studentFlags {
 		end:       fs.String("end", "", "end semester d, e.g. \"Fall 2015\""),
 		m:         fs.Int("m", 3, "max courses per semester (0 = unlimited)"),
 		substrate: fs.String("substrate", "auto", "search substrate: auto (counts use the status DAG), tree, dag"),
-		workers:   fs.Int("workers", 0, "parallelise tree-walk counting across this many goroutines (0/1 = serial); DAG counts are serial"),
 	}
 }
 
@@ -246,7 +244,6 @@ func (sf studentFlags) query() coursenav.Query {
 		End:        *sf.end,
 		MaxPerTerm: *sf.m,
 		Substrate:  *sf.substrate,
-		Workers:    *sf.workers,
 	}
 }
 

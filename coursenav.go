@@ -374,7 +374,10 @@ type Query struct {
 	End string
 	// MaxPerTerm is the per-semester course limit m; 0 = unlimited.
 	MaxPerTerm int
-	// MergeStatuses enables the status-interning ablation (DESIGN.md §2).
+	// MergeStatuses enables the status-interning ablation (DESIGN.md §2):
+	// materialised graphs merge identical statuses, and counts and
+	// streams run on the interned-status DAG. Combined with Substrate
+	// "tree" it fails a count or stream with ErrMergedStreamUnsupported.
 	MergeStatuses bool
 	// MaxNodes bounds materialised graphs (0 = unlimited); exceeding it
 	// returns an error, mirroring the paper's out-of-memory rows.
@@ -395,11 +398,6 @@ type Query struct {
 	// cost is at most the threshold (§4.3.1's workload-threshold
 	// queries).
 	MaxPathCost float64
-	// Workers, when >1, parallelises tree-walk counting queries
-	// (DeadlineCount, GoalPathsCount on Substrate "tree") across that many
-	// goroutines; tallies are exact. It applies to tree-walk counting
-	// only: DAG-substrate counts, horizon probes and what-if run serially.
-	Workers int
 	// Substrate selects the search structure: "" or "auto" lets each
 	// entry point choose (counting and what-if queries run on the
 	// interned-status DAG, which answers them in time proportional to the
@@ -472,7 +470,6 @@ func (n *Navigator) compileOptions(q Query) (explore.Options, error) {
 		MergeStatuses: q.MergeStatuses,
 		MaxNodes:      q.MaxNodes,
 		MaxPathCost:   q.MaxPathCost,
-		Workers:       q.Workers,
 		Substrate:     sub,
 		Budget:        explore.Budget(q.Budget),
 	}
@@ -645,8 +642,7 @@ func (n *Navigator) GoalPathsCountCtx(ctx context.Context, q Query, g Goal) (Sum
 // cohort runner probing "how many semesters late does this member
 // graduate?" pays one counting run instead of horizon+1. The Summary is
 // the run's (its Paths/GoalPaths are relative to end+horizon). It always
-// runs serially on the DAG substrate; Query.Substrate and Query.Workers
-// do not apply.
+// runs on the DAG substrate; Query.Substrate does not apply.
 func (n *Navigator) GoalPathsCountHorizons(q Query, g Goal, horizon int) ([]int64, Summary, error) {
 	return n.GoalPathsCountHorizonsCtx(context.Background(), q, g, horizon)
 }

@@ -70,20 +70,17 @@ func RunAblations(env *Env, rounds int) ([]AblationRow, error) {
 		return nil
 	}
 
+	// Status interning on a count runs on the DAG counting kernel, so this
+	// row compares the tree walk against the kernel.
 	base := env.opt()
 	merged := base
 	merged.MergeStatuses = true
-	if err := add("status interning (deadline d=4)", "off", "on", base, merged, 4, false); err != nil {
+	if err := add("status interning (deadline d=4)", "tree walk", "kernel", base, merged, 4, false); err != nil {
 		return nil, err
 	}
 	filtered := base
 	filtered.MinTakeFilter = true
 	if err := add("min-take filter (goal d=5)", "off (paper)", "on", base, filtered, 5, true); err != nil {
-		return nil, err
-	}
-	parallel := base
-	parallel.Workers = 8
-	if err := add("parallel counting (deadline d=5)", "workers=1", "workers=8", base, parallel, 5, false); err != nil {
 		return nil, err
 	}
 	always := base

@@ -159,7 +159,7 @@ type Table2Row struct {
 	GoalPaths       int64 // generated paths (the paper's "# of paths")
 	GoalGoalPaths   int64 // the subset ending at the goal
 	GoalRuntime     time.Duration
-	GoalMemoised    bool // counted via status interning (see DESIGN.md §5)
+	GoalMemoised    bool // counted with status interning, on the DAG counting kernel (DESIGN.md §13)
 }
 
 // Table2Config tunes the scalability run.
@@ -171,12 +171,12 @@ type Table2Config struct {
 	// the row reports N/A. 0 uses 4,000,000 (~1 GiB of nodes).
 	DeadlineNodeBudget int
 	// Full counts the long goal-driven rows by full tree enumeration like
-	// the paper (minutes); otherwise rows with d ≥ MemoiseFrom use
-	// memoised counting, which yields identical path counts but is not
-	// runtime-comparable.
+	// the paper (minutes); otherwise rows with d ≥ MemoiseFrom count with
+	// status interning — the DAG counting kernel — which yields identical
+	// path counts but is not runtime-comparable.
 	Full bool
 	// MemoiseFrom is the semester count at which non-Full runs switch to
-	// memoised counting. 0 means 6.
+	// the kernel. 0 means 6.
 	MemoiseFrom int
 }
 
@@ -204,8 +204,9 @@ func RunTable2(env *Env, cfg Table2Config) ([]Table2Row, error) {
 		default:
 			return nil, fmt.Errorf("table2 deadline d=%d: %v", d, err)
 		}
-		// Goal-driven: counting mode, memoised for the explosive rows
-		// unless a Full (paper-style) enumeration was requested.
+		// Goal-driven: counting mode, on the kernel (MergeStatuses) for the
+		// explosive rows unless a Full (paper-style) enumeration was
+		// requested.
 		gopt := env.opt()
 		if !cfg.Full && d >= cfg.MemoiseFrom {
 			gopt.MergeStatuses = true
@@ -243,7 +244,7 @@ func PrintTable2(w io.Writer, rows []Table2Row) {
 	}
 	for _, r := range rows {
 		if r.GoalMemoised {
-			fmt.Fprintln(w, "  * counted with status interning (identical path counts; runtime not comparable to full enumeration — rerun with -full)")
+			fmt.Fprintln(w, "  * counted with status interning on the DAG counting kernel (identical path counts; runtime not comparable to full enumeration — rerun with -full)")
 			break
 		}
 	}

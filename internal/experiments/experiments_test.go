@@ -167,7 +167,7 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
+	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {

@@ -29,7 +29,8 @@ type ScalingPoint struct {
 // per-semester limit (m = 2) stay fixed, so the measured growth isolates
 // the option-set blow-up: each added course widens Y and the per-node
 // branching follows the paper's Σ C(|Y|, i) formula. Counting uses
-// status interning to keep the sweep tractable.
+// status interning — the DAG counting kernel — to keep the sweep
+// tractable, so the nodes column counts distinct kernel statuses.
 func RunScaling(sizes []int, seed int64) ([]ScalingPoint, error) {
 	var out []ScalingPoint
 	for _, n := range sizes {

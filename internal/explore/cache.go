@@ -14,8 +14,7 @@ import (
 // offerings over the remaining course-taking semesters, which both the
 // availability strategy and the stuck-node check consult once per expanded
 // node but which only depends on the node's term. One cache lives per
-// engine (engines are single-goroutine; parallel workers build their own),
-// so no locking is needed.
+// engine (engines are single-goroutine), so no locking is needed.
 type termCache struct {
 	cat        *catalog.Catalog
 	lastTaking term.Term

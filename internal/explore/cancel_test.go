@@ -36,10 +36,8 @@ func TestAlreadyCancelledContext(t *testing.T) {
 			res, err := GoalCountCtx(ctx, rc.cat, rc.startStatus(), rc.end, rc.req, pruners, rc.opt)
 			return res.Stopped, res.Truncated, err
 		},
-		"deadline-count-parallel": func() (string, bool, error) {
-			opt := rc.opt
-			opt.Workers = 4
-			res, err := DeadlineCountCtx(ctx, rc.cat, rc.startStatus(), rc.end, opt)
+		"deadline-count": func() (string, bool, error) {
+			res, err := DeadlineCountCtx(ctx, rc.cat, rc.startStatus(), rc.end, rc.opt)
 			return res.Stopped, res.Truncated, err
 		},
 		"ranked": func() (string, bool, error) {
@@ -160,8 +158,8 @@ func TestMaxPathsBudget(t *testing.T) {
 
 // TestBudgetsDisabledEquivalence: with a zero Budget and a background
 // context the *Ctx variants are byte-identical to the legacy entry points
-// (counting equivalence across serial, memoised and parallel engines is
-// separately covered by property_test.go).
+// (counting equivalence between the tree walk and the DAG kernel is
+// separately covered by dag_test.go).
 func TestBudgetsDisabledEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rc := newRandomCase(t, seed)
@@ -179,28 +177,27 @@ func TestBudgetsDisabledEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: ctx variant diverged: legacy %+v vs ctx %+v", seed, legacy, ctxed)
 		}
 
-		// Memoised + parallel under a cancellable-but-never-cancelled
-		// context still agree exactly (the control must not perturb
-		// counting).
+		// A merged count (the DAG kernel) under a cancellable-but-never-
+		// cancelled context still agrees exactly (the control must not
+		// perturb counting).
 		ctx, cancel := context.WithCancel(context.Background())
 		mopt := rc.opt
 		mopt.MergeStatuses = true
-		mopt.Workers = 4
-		par, err := GoalCountCtx(ctx, rc.cat, rc.startStatus(), rc.end, rc.req, pruners, mopt)
+		merged, err := GoalCountCtx(ctx, rc.cat, rc.startStatus(), rc.end, rc.req, pruners, mopt)
 		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Paths != legacy.Paths || par.GoalPaths != legacy.GoalPaths {
-			t.Fatalf("seed %d: parallel memoised ctx run diverged: %+v vs %+v", seed, par, legacy)
+		if merged.Paths != legacy.Paths || merged.GoalPaths != legacy.GoalPaths {
+			t.Fatalf("seed %d: merged ctx run diverged: %+v vs %+v", seed, merged, legacy)
 		}
 	}
 }
 
-// TestMidRunCancelDoesNotPoisonMemo: cancelling a memoised counting run
-// mid-flight and then re-running to completion on a fresh engine must
-// produce the exact full tallies — and the partially-cancelled run's own
-// tallies must never exceed them.
+// TestMidRunCancelDoesNotPoisonMemo: a merged counting run runs on the
+// DAG kernel, whose memo never interns the partial sums of frames a stop
+// unwinds — so a run stopped mid-flight by its node budget reports
+// tallies that never exceed the full run's.
 func TestMidRunCancelDoesNotPoisonMemo(t *testing.T) {
 	rc := cancelCase(t)
 	opt := rc.opt

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
@@ -36,8 +35,8 @@ type Budget struct {
 	// Timeout bounds the run's wall clock. 0 means no time bound beyond
 	// the context's own deadline.
 	Timeout time.Duration
-	// MaxNodes bounds generated statuses across the whole run (all
-	// parallel workers combined). 0 means unlimited.
+	// MaxNodes bounds generated statuses across the whole run. 0 means
+	// unlimited.
 	MaxNodes int64
 	// MaxPaths bounds tallied paths. 0 means unlimited.
 	MaxPaths int64
@@ -76,9 +75,10 @@ func stopString(r int32) string {
 	}
 }
 
-// control is the per-run cancellation and budget state, shared by every
-// engine of a run (parallel workers included). It is nil on unbounded
-// background-context runs, so the legacy hot path pays nothing.
+// control is the per-run cancellation and budget state. A run is
+// single-goroutine, so its fields need no synchronisation. It is nil on
+// unbounded background-context runs, so the legacy hot path pays
+// nothing.
 type control struct {
 	done        <-chan struct{} // ctx.Done(); nil when uncancellable
 	ctx         context.Context
@@ -87,9 +87,9 @@ type control struct {
 	maxNodes    int64
 	maxPaths    int64
 
-	nodes   atomic.Int64 // generated statuses, tracked only when maxNodes > 0
-	paths   atomic.Int64 // tallied paths, tracked only when maxPaths > 0
-	stopped atomic.Int32 // stopNone while running; else the first reason hit
+	nodes   int64 // generated statuses, tracked only when maxNodes > 0
+	paths   int64 // tallied paths, tracked only when maxPaths > 0
+	stopped int32 // stopNone while running; else the first reason hit
 }
 
 // newControl builds the run control, or nil when ctx can never fire and
@@ -117,17 +117,17 @@ func newControl(ctx context.Context, b Budget) *control {
 
 // stop records a reason if none is set yet and returns the effective one.
 func (c *control) stop(reason int32) int32 {
-	if c.stopped.CompareAndSwap(stopNone, reason) {
-		return reason
+	if c.stopped == stopNone {
+		c.stopped = reason
 	}
-	return c.stopped.Load()
+	return c.stopped
 }
 
 // halted re-checks cancellation and the wall clock and returns the stop
 // reason, or stopNone while the run may continue. It is the engines'
 // per-popped-node check.
 func (c *control) halted() int32 {
-	if r := c.stopped.Load(); r != stopNone {
+	if r := c.stopped; r != stopNone {
 		return r
 	}
 	if c.done != nil {
@@ -154,7 +154,8 @@ func (c *control) noteNode() bool {
 	if c.maxNodes == 0 {
 		return false
 	}
-	if c.nodes.Add(1) > c.maxNodes {
+	c.nodes++
+	if c.nodes > c.maxNodes {
 		c.stop(stopMaxNodes)
 		return true
 	}
@@ -166,7 +167,8 @@ func (c *control) notePaths(n int64) {
 	if c.maxPaths == 0 || n == 0 {
 		return
 	}
-	if c.paths.Add(n) >= c.maxPaths {
+	c.paths += n
+	if c.paths >= c.maxPaths {
 		c.stop(stopMaxPaths)
 	}
 }
@@ -186,7 +188,7 @@ func (c *control) reason() string {
 	if c == nil {
 		return ""
 	}
-	return stopString(c.stopped.Load())
+	return stopString(c.stopped)
 }
 
 // interrupted reports whether a stop reason has been recorded, without
@@ -194,5 +196,5 @@ func (c *control) reason() string {
 // computed after (or across) a stop may be partial and must not be
 // memoised.
 func (c *control) interrupted() bool {
-	return c != nil && c.stopped.Load() != stopNone
+	return c != nil && c.stopped != stopNone
 }

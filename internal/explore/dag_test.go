@@ -78,9 +78,8 @@ func TestDAGGoalCountBrandeis(t *testing.T) {
 
 // TestTreeDAGEquivalenceRandom is the substrate-equivalence property
 // suite: on randomized catalogs and queries, the DAG engine's deadline
-// counts and goal counts (under both paper pruners, with Workers set or
-// not — DAG counts are serial either way) are bit-identical to the
-// serial tree walk's.
+// counts and goal counts (with and without the paper pruners) are
+// bit-identical to the plain tree walk's.
 func TestTreeDAGEquivalenceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rc := newRandomCase(t, seed)
@@ -99,40 +98,65 @@ func TestTreeDAGEquivalenceRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, workers := range []int{1, 4} {
-			opt := dagOpt(rc.opt)
-			opt.Workers = workers
-			dagD, err := DeadlineCount(rc.cat, rc.startStatus(), rc.end, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dagD.Paths != treeD.Paths || dagD.GoalPaths != treeD.GoalPaths {
-				t.Fatalf("seed %d workers=%d: deadline dag %d/%d != tree %d/%d",
-					seed, workers, dagD.Paths, dagD.GoalPaths, treeD.Paths, treeD.GoalPaths)
-			}
-			dagG, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dagG.Paths != treeG.Paths || dagG.GoalPaths != treeG.GoalPaths {
-				t.Fatalf("seed %d workers=%d: goal dag %d/%d != tree %d/%d",
-					seed, workers, dagG.Paths, dagG.GoalPaths, treeG.Paths, treeG.GoalPaths)
-			}
-			dagN, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, nil, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dagN.Paths != treeN.Paths || dagN.GoalPaths != treeN.GoalPaths {
-				t.Fatalf("seed %d workers=%d: unpruned dag %d/%d != tree %d/%d",
-					seed, workers, dagN.Paths, dagN.GoalPaths, treeN.Paths, treeN.GoalPaths)
-			}
+		opt := dagOpt(rc.opt)
+		dagD, err := DeadlineCount(rc.cat, rc.startStatus(), rc.end, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dagD.Paths != treeD.Paths || dagD.GoalPaths != treeD.GoalPaths {
+			t.Fatalf("seed %d: deadline dag %d/%d != tree %d/%d",
+				seed, dagD.Paths, dagD.GoalPaths, treeD.Paths, treeD.GoalPaths)
+		}
+		dagG, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dagG.Paths != treeG.Paths || dagG.GoalPaths != treeG.GoalPaths {
+			t.Fatalf("seed %d: goal dag %d/%d != tree %d/%d",
+				seed, dagG.Paths, dagG.GoalPaths, treeG.Paths, treeG.GoalPaths)
+		}
+		dagN, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dagN.Paths != treeN.Paths || dagN.GoalPaths != treeN.GoalPaths {
+			t.Fatalf("seed %d: unpruned dag %d/%d != tree %d/%d",
+				seed, dagN.Paths, dagN.GoalPaths, treeN.Paths, treeN.GoalPaths)
+		}
+	}
+}
+
+// TestCountingModesAgreeOnRandomCatalogs: on every randomised scenario,
+// the merged (MergeStatuses) goal count — which resolves to the DAG
+// counting kernel — reports the plain tree walk's path and goal-path
+// totals and says it ran on the DAG.
+func TestCountingModesAgreeOnRandomCatalogs(t *testing.T) {
+	for seed := int64(1); seed <= 15; seed++ {
+		rc := newRandomCase(t, seed)
+		pruners := PaperPruners(rc.cat, rc.req, rc.opt.MaxPerTerm)
+		serial, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, rc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mopt := rc.opt
+		mopt.MergeStatuses = true
+		merged, err := GoalCount(rc.cat, rc.startStatus(), rc.end, rc.req, pruners, mopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.DAG || !merged.DAG {
+			t.Fatalf("seed %d: DAG flags serial=%v merged=%v, want false/true", seed, serial.DAG, merged.DAG)
+		}
+		if merged.Paths != serial.Paths || merged.GoalPaths != serial.GoalPaths {
+			t.Fatalf("seed %d: merged %d/%d != serial %d/%d",
+				seed, merged.Paths, merged.GoalPaths, serial.Paths, serial.GoalPaths)
 		}
 	}
 }
 
 // TestTreeDAGWhatIfEquivalence: the shared-DAG what-if engine delivers
-// exactly the per-candidate deltas the per-candidate tree counts do, on
-// randomized catalogs, with Workers set or not.
+// exactly the per-candidate deltas the plain per-candidate tree walks do,
+// on randomized catalogs.
 func TestTreeDAGWhatIfEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rc := newRandomCase(t, seed)
@@ -144,24 +168,19 @@ func TestTreeDAGWhatIfEquivalence(t *testing.T) {
 		if err != nil || stopped != "" {
 			t.Fatalf("seed %d: tree what-if err=%v stopped=%q", seed, err, stopped)
 		}
-		for _, workers := range []int{1, 4} {
-			dopt := dagOpt(rc.opt)
-			dopt.Workers = workers
-			dag, stopped, err := CompareSelectionsCtx(context.Background(),
-				rc.cat, rc.startStatus(), rc.end, rc.req, pruners, dopt)
-			if err != nil || stopped != "" {
-				t.Fatalf("seed %d: dag what-if err=%v stopped=%q", seed, err, stopped)
-			}
-			if len(dag) != len(tree) {
-				t.Fatalf("seed %d workers=%d: %d candidates != tree's %d", seed, workers, len(dag), len(tree))
-			}
-			for i := range tree {
-				a, b := tree[i], dag[i]
-				if !a.Selection.Equal(b.Selection) || a.Paths != b.Paths ||
-					a.GoalPaths != b.GoalPaths || a.NextOptions != b.NextOptions {
-					t.Fatalf("seed %d workers=%d: impact %d differs: tree %+v dag %+v",
-						seed, workers, i, a, b)
-				}
+		dag, stopped, err := CompareSelectionsCtx(context.Background(),
+			rc.cat, rc.startStatus(), rc.end, rc.req, pruners, dagOpt(rc.opt))
+		if err != nil || stopped != "" {
+			t.Fatalf("seed %d: dag what-if err=%v stopped=%q", seed, err, stopped)
+		}
+		if len(dag) != len(tree) {
+			t.Fatalf("seed %d: %d candidates != tree's %d", seed, len(dag), len(tree))
+		}
+		for i := range tree {
+			a, b := tree[i], dag[i]
+			if !a.Selection.Equal(b.Selection) || a.Paths != b.Paths ||
+				a.GoalPaths != b.GoalPaths || a.NextOptions != b.NextOptions {
+				t.Fatalf("seed %d: impact %d differs: tree %+v dag %+v", seed, i, a, b)
 			}
 		}
 	}

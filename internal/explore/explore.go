@@ -66,8 +66,10 @@ type Substrate uint8
 const (
 	// SubstrateAuto lets the entry point choose. The legacy explore entry
 	// points resolve it to the tree walk (their documented tallies — node
-	// and edge counts, the per-strategy prune split, Parallel — are tree
-	// quantities); the façade's count-only paths resolve it to the DAG.
+	// and edge counts, the per-strategy prune split — are tree
+	// quantities) unless Options.MergeStatuses asks for interning on a
+	// counting or streaming run, which then runs on the DAG; the façade's
+	// count-only paths resolve it to the DAG.
 	SubstrateAuto Substrate = iota
 	// SubstrateTree walks the search tree: cost scales with the number of
 	// paths. Required for materialising runs, and the only substrate whose
@@ -105,9 +107,11 @@ type Options struct {
 	// paper-faithful EmptyWhenStuck.
 	Empty EmptyPolicy
 	// MergeStatuses interns nodes with identical (semester, completed)
-	// pairs, turning the materialised tree into a DAG and memoising counts.
-	// This is the ablation of DESIGN.md §2; the paper's algorithm runs with
-	// it off.
+	// pairs. A materialising run then builds the merged graph (a DAG); a
+	// counting or streaming run resolves it to SubstrateDAG — the counting
+	// kernel, or the DAG's lazy unfold — and fails with ErrMergeTree when
+	// Substrate forces the tree walk, which never merges. This is the
+	// ablation of DESIGN.md §2; the paper's algorithm runs with it off.
 	MergeStatuses bool
 	// MaxNodes aborts materialisation with ErrGraphTooLarge once the graph
 	// reaches this many nodes, emulating the paper's out-of-memory rows in
@@ -117,17 +121,6 @@ type Options struct {
 	// per-semester workload ceilings, co-requisite groups, …); see
 	// Constraint. A rejected selection appears on no generated path.
 	Constraints []Constraint
-	// Workers, when >1, fans counting runs out across that many
-	// goroutines drawing subtrees from a shared work pool (starved workers
-	// re-split skewed subtrees) — tree-walk counting only. Tallies are
-	// exact; with MergeStatuses the workers share a sharded concurrent
-	// memo, and Nodes/Edges then count memo misses, which can vary
-	// slightly between runs (path counts never do). Materialising runs,
-	// the ranked algorithm and every DAG-substrate run (counts,
-	// GoalCountMulti, what-if, streams) stay serial; Result.Parallel
-	// reports whether a run actually fanned out. Negative values are
-	// rejected by validation.
-	Workers int
 	// MaxPathCost, when positive, makes the ranked algorithm return only
 	// paths whose total ranking cost is at most this threshold (§4.3.1's
 	// workload-threshold queries). Ignored by Deadline and Goal.
@@ -175,12 +168,6 @@ type Result struct {
 	PrunedTime, PrunedAvail int64
 	// Elapsed is the wall-clock generation time.
 	Elapsed time.Duration
-	// Parallel reports whether a tree-walk counting run actually fanned
-	// out across Options.Workers goroutines. It stays false when Workers
-	// <= 1, for materialising, ranked and DAG-substrate runs (always
-	// serial), and when the serial pre-split already consumed the whole
-	// tree.
-	Parallel bool
 	// Stopped names why the run ended early — StopCanceled, StopDeadline,
 	// StopMaxNodes or StopMaxPaths — and is empty for a run that exhausted
 	// its search space. A stopped run's tallies (and Graph, when
@@ -204,8 +191,7 @@ type Result struct {
 func (r Result) PrunedTotal() int64 { return r.PrunedTime + r.PrunedAvail }
 
 // engine is the shared expansion machinery. An engine (and everything it
-// caches) belongs to a single goroutine; parallel counting builds one
-// engine per worker from the raw goal and pruners.
+// caches) belongs to a single goroutine.
 type engine struct {
 	cat     *catalog.Catalog
 	end     term.Term
@@ -213,20 +199,17 @@ type engine struct {
 	goal    degree.Goal // memoised wrapper; nil for deadline-driven runs
 	pruners []Pruner    // cache-wrapped paper strategies
 
-	// rawGoal and rawPruners are the caller's originals, kept so parallel
-	// workers can wrap fresh per-goroutine caches around them.
-	rawGoal    degree.Goal
-	rawPruners []Pruner
-	tc         *termCache
+	// rawGoal is the caller's original goal, kept so wrapPruner can hand
+	// pruners sharing it the engine's memoised wrapper.
+	rawGoal degree.Goal
+	tc      *termCache
 
-	// ctl is the run's shared cancellation/budget state; nil on unbounded
+	// ctl is the run's cancellation/budget state; nil on unbounded
 	// background-context runs (the common library path pays no per-node
-	// check). Parallel workers share the parent's control.
+	// check).
 	ctl *control
 
-	intern map[status.MapKey]int64    // materialising with MergeStatuses
-	memo   map[status.MapKey][2]int64 // serial counting with MergeStatuses
-	shared *sharedMemo                // parallel counting with MergeStatuses
+	intern map[status.MapKey]int64 // materialising with MergeStatuses
 	res    Result
 
 	// sink receives the run's event stream; nil when nobody listens (the
@@ -234,10 +217,9 @@ type engine struct {
 	// runs always carry at least the internal CollectSink.
 	sink         Sink
 	materialized bool
-	// assignIDs numbers generated nodes (root = 0) so a CollectSink can
-	// rebuild the graph; off for parallel workers, whose ids would collide.
-	assignIDs bool
-	nextID    int64
+	// nextID numbers the tree walk's generated nodes (root = 0) so a
+	// CollectSink can rebuild the graph.
+	nextID int64
 	// spine is the root→current-node walk, shared with emitted path events.
 	spine []Step
 	// visits gates periodic KindProgress events; emitPaths/emitGoal are the
@@ -276,7 +258,7 @@ type childRef struct {
 }
 
 func newEngine(cat *catalog.Catalog, end term.Term, goal degree.Goal, pruners []Pruner, opt Options) *engine {
-	e := &engine{cat: cat, end: end, opt: opt, rawGoal: goal, rawPruners: pruners}
+	e := &engine{cat: cat, end: end, opt: opt, rawGoal: goal}
 	e.tc = newTermCache(cat, end)
 	e.goal = degree.Memoize(goal)
 	if len(pruners) > 0 {
@@ -284,10 +266,6 @@ func newEngine(cat *catalog.Catalog, end term.Term, goal degree.Goal, pruners []
 		for i, p := range pruners {
 			e.pruners[i] = e.wrapPruner(p)
 		}
-	}
-	if opt.MergeStatuses {
-		e.intern = map[status.MapKey]int64{}
-		e.memo = map[status.MapKey][2]int64{}
 	}
 	return e
 }

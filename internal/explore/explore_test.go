@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -362,13 +363,66 @@ func TestMergeStatusesAblation(t *testing.T) {
 	if plain.Paths != merged.Paths {
 		t.Errorf("path counts differ: %d vs %d", plain.Paths, merged.Paths)
 	}
-	// Counting mode with memoisation agrees as well.
-	cnt, err := DeadlineCount(cat, emptyStart(cat, f11), s13, Options{MergeStatuses: true})
+
+	// A window where interning merges: the materialised merged graph is
+	// pinned (tallies recorded before the tree count memo was removed).
+	catB := brandeis.Catalog()
+	startB := emptyStart(catB, term.TwoSeason.MustTerm(2013, term.Fall))
+	mat, err := Deadline(catB, startB, startB.Term.Add(2), Options{MaxPerTerm: 3, MergeStatuses: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt.Paths != plain.Paths {
-		t.Errorf("memoised count %d != plain %d", cnt.Paths, plain.Paths)
+	if mat.Paths != 47 || mat.Nodes != 42 || mat.Edges != 54 || mat.DAG ||
+		mat.Graph.NumNodes() != 42 || mat.Graph.NumEdges() != 54 {
+		t.Errorf("merged graph: paths=%d nodes=%d edges=%d graph %d/%d dag=%v, want 47/42/54, 42/54, false",
+			mat.Paths, mat.Nodes, mat.Edges, mat.Graph.NumNodes(), mat.Graph.NumEdges(), mat.DAG)
+	}
+
+	// Counting and streaming runs resolve MergeStatuses to the DAG
+	// substrate (the kernel, or the lazy unfold) and report the plain
+	// tree walk's totals; forcing the tree walk is rejected.
+	goal, err := brandeis.Major(catB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := startB.Term.Add(4)
+	pruners := PaperPruners(catB, goal, 3)
+	plainOpt := Options{MaxPerTerm: 3}
+	mergedOpt := Options{MaxPerTerm: 3, MergeStatuses: true}
+	treeOpt := Options{MaxPerTerm: 3, MergeStatuses: true, Substrate: SubstrateTree}
+	paths := 0
+	countPaths := SinkFunc(func(ev Event) error {
+		if ev.Kind == KindPath {
+			paths++
+		}
+		return nil
+	})
+	for name, run := range map[string]func(Options) (Result, error){
+		"DeadlineCount": func(o Options) (Result, error) { return DeadlineCount(catB, startB, end, o) },
+		"GoalCount":     func(o Options) (Result, error) { return GoalCount(catB, startB, end, goal, pruners, o) },
+		"Stream": func(o Options) (Result, error) {
+			paths = 0
+			return Stream(context.Background(), catB, startB, end, goal, pruners, o, countPaths)
+		},
+	} {
+		want, err := run(plainOpt)
+		if err != nil {
+			t.Fatalf("%s plain: %v", name, err)
+		}
+		got, err := run(mergedOpt)
+		if err != nil {
+			t.Fatalf("%s merged: %v", name, err)
+		}
+		if want.DAG || !got.DAG || got.Paths != want.Paths || got.GoalPaths != want.GoalPaths {
+			t.Errorf("%s: merged dag=%v %d/%d, plain dag=%v %d/%d; want the plain totals on the DAG",
+				name, got.DAG, got.Paths, got.GoalPaths, want.DAG, want.Paths, want.GoalPaths)
+		}
+		if name == "Stream" && int64(paths) != want.Paths {
+			t.Errorf("merged stream delivered %d paths, want every one of %d", paths, want.Paths)
+		}
+		if _, err := run(treeOpt); !errors.Is(err, ErrMergeTree) {
+			t.Errorf("%s: MergeStatuses on SubstrateTree: err = %v, want ErrMergeTree", name, err)
+		}
 	}
 }
 
@@ -453,12 +507,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if _, err := Ranked(cat, start, s13, goal, rank.Time{}, 1, nil, Options{MergeStatuses: true}); err == nil {
 		t.Error("MergeStatuses accepted by Ranked")
-	}
-	if _, err := Deadline(cat, start, s13, Options{Workers: -1}); err == nil {
-		t.Error("negative Workers accepted")
-	}
-	if _, err := DeadlineCount(cat, start, s13, Options{Workers: -3}); err == nil {
-		t.Error("negative Workers accepted by counting mode")
 	}
 	if _, err := Deadline(cat, start, s13, Options{MaxNodes: -1}); err == nil {
 		t.Error("negative MaxNodes accepted")
@@ -808,71 +856,5 @@ func TestFigure1OverlappingPaths(t *testing.T) {
 	}
 	if prefixEdges != 1 {
 		t.Errorf("shared prefix materialised %d times, want once", prefixEdges)
-	}
-}
-
-func TestParallelCountMatchesSerial(t *testing.T) {
-	cat := fig3Catalog(t)
-	goal, _ := degree.NewCourseSet(cat, "11A", "29A", "21A")
-	for _, workers := range []int{2, 4, 8} {
-		for _, m := range []int{1, 2, 3} {
-			serialOpt := Options{MaxPerTerm: m}
-			parOpt := Options{MaxPerTerm: m, Workers: workers}
-			a, err := DeadlineCount(cat, emptyStart(cat, f11), s13, serialOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := DeadlineCount(cat, emptyStart(cat, f11), s13, parOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Paths != b.Paths || a.Nodes != b.Nodes || a.Edges != b.Edges {
-				t.Errorf("workers=%d m=%d: parallel %d/%d/%d != serial %d/%d/%d",
-					workers, m, b.Paths, b.Nodes, b.Edges, a.Paths, a.Nodes, a.Edges)
-			}
-			ga, err := GoalCount(cat, emptyStart(cat, f11), s13, goal, PaperPruners(cat, goal, m), serialOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, err := GoalCount(cat, emptyStart(cat, f11), s13, goal, PaperPruners(cat, goal, m), parOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ga.Paths != gb.Paths || ga.GoalPaths != gb.GoalPaths ||
-				ga.PrunedTime != gb.PrunedTime || ga.PrunedAvail != gb.PrunedAvail {
-				t.Errorf("workers=%d m=%d: goal parallel mismatch: %+v vs %+v", workers, m, gb, ga)
-			}
-		}
-	}
-	// Root-level terminal cases short-circuit correctly.
-	done := status.New(cat, f11, cat.MustSetOf("11A", "29A", "21A"))
-	res, err := GoalCount(cat, done, s13, goal, nil, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Paths != 1 || res.GoalPaths != 1 {
-		t.Errorf("satisfied root: %+v", res)
-	}
-}
-
-func TestParallelCountOnBrandeisScale(t *testing.T) {
-	// Cross-check on the real dataset's 4-semester window.
-	catB := brandeis.Catalog()
-	goal, err0 := brandeis.Major(catB)
-	if err0 != nil {
-		t.Fatal(err0)
-	}
-	start := status.New(catB, term.TwoSeason.MustTerm(2013, term.Fall), bitset.New(catB.Len()))
-	end := term.TwoSeason.MustTerm(2015, term.Fall)
-	serial, err := GoalCount(catB, start, end, goal, PaperPruners(catB, goal, 3), Options{MaxPerTerm: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := GoalCount(catB, start, end, goal, PaperPruners(catB, goal, 3), Options{MaxPerTerm: 3, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Paths != par.Paths || serial.GoalPaths != par.GoalPaths {
-		t.Errorf("parallel %d/%d != serial %d/%d", par.Paths, par.GoalPaths, serial.Paths, serial.GoalPaths)
 	}
 }

@@ -77,10 +77,10 @@ func GoalCountMulti(cat *catalog.Catalog, start status.Status, end term.Term, ho
 // [end, end+horizon] from one DAG run: the counting kernel keeps a
 // per-deadline goal tally in every status's vector, so one run at the
 // farthest deadline answers all horizon+1 deadlines (see MultiResult).
-// It always runs on the DAG substrate, serially — Options.Substrate and
-// Options.Workers are ignored — and requires a goal. horizon == 0
-// degenerates to GoalCountCtx on SubstrateDAG. A stopped run's tallies
-// are lower bounds, as for any counting run.
+// It always runs on the DAG substrate — Options.Substrate is ignored —
+// and requires a goal. horizon == 0 degenerates to GoalCountCtx on
+// SubstrateDAG. A stopped run's tallies are lower bounds, as for any
+// counting run.
 func GoalCountMultiCtx(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, horizon int, goal degree.Goal, pruners []Pruner, opt Options) (MultiResult, error) {
 	if goal == nil {
 		return MultiResult{}, fmt.Errorf("explore: GoalCountMulti requires a goal")
@@ -103,20 +103,17 @@ func GoalCountMultiCtx(ctx context.Context, cat *catalog.Catalog, start status.S
 // nil).
 //
 // Sink errors end the run: ErrStopEmit cleanly (Result.Stopped ==
-// StopSink), anything else as the returned error. With Options.Workers >
-// 1 the run fans out and events arrive in nondeterministic order (the
-// path multiset is exact); with MergeStatuses the memo elides repeated
-// subtrees, so path events cover each distinct terminal status once
-// rather than each path. Serial, unmerged runs emit every path in
-// depth-first order and number nodes so a CollectSink can rebuild the
-// exact legacy graph.
+// StopSink), anything else as the returned error. The tree walk emits
+// every path in depth-first order and numbers nodes so a CollectSink can
+// rebuild the exact legacy graph.
 //
-// With Options.Substrate == SubstrateDAG the engine builds the
-// interned-status DAG first and lazily unfolds it into full paths: every
-// path is emitted (in the serial tree walk's depth-first order) even
-// though repeated subtrees were expanded only once. Only KindPath and
-// KindProgress events are emitted on this substrate — there is no
-// per-path node identity, so edge events (and CollectSink) do not apply.
+// With Options.Substrate == SubstrateDAG — or MergeStatuses, which
+// resolves to it — the engine builds the interned-status DAG first and
+// lazily unfolds it into full paths: every path is emitted (in the tree
+// walk's depth-first order) even though repeated subtrees were expanded
+// only once. Only KindPath and KindProgress events are emitted on this
+// substrate — there is no per-path node identity, so edge events (and
+// CollectSink) do not apply.
 func Stream(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, sink Sink) (Result, error) {
 	if sink == nil {
 		return Result{}, fmt.Errorf("explore: Stream requires a sink; use DeadlineCtx/GoalCtx for collected runs")
@@ -138,8 +135,6 @@ func validate(cat *catalog.Catalog, start status.Status, end term.Term, opt Opti
 		return fmt.Errorf("explore: end semester %v is not after start %v", end, start.Term)
 	case opt.MaxPerTerm < 0:
 		return fmt.Errorf("explore: negative MaxPerTerm %d", opt.MaxPerTerm)
-	case opt.Workers < 0:
-		return fmt.Errorf("explore: negative Workers %d", opt.Workers)
 	case opt.MaxNodes < 0:
 		return fmt.Errorf("explore: negative MaxNodes %d", opt.MaxNodes)
 	case opt.Budget.Timeout < 0 || opt.Budget.MaxNodes < 0 || opt.Budget.MaxPaths < 0:
@@ -150,13 +145,27 @@ func validate(cat *catalog.Catalog, start status.Status, end term.Term, opt Opti
 	return nil
 }
 
+// ErrMergeTree rejects Options.MergeStatuses on a run that must walk the
+// tree without materialising it — a count or stream forced onto
+// SubstrateTree. The tree walk never merges statuses: interning is the
+// DAG substrate's job (the counting kernel, or the lazy unfold that still
+// emits every path).
+var ErrMergeTree = errors.New("explore: MergeStatuses cannot run on the tree walk, which never merges statuses; count or stream on SubstrateAuto or SubstrateDAG (the DAG's lazy unfold still emits every path), or turn MergeStatuses off")
+
 // run is the single driver behind every deadline/goal entry point: a walk
 // of the search tree emitting events into a sink. A materialising run is
 // the same walk collected by a CollectSink; a counting or streaming run
-// is the walk with no collector (optionally fanned out across workers).
+// is the walk with no collector. MergeStatuses on a counting or streaming
+// run resolves here, once, to the DAG substrate.
 func run(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, materialize bool, sink Sink) (Result, error) {
 	if err := validate(cat, start, end, opt); err != nil {
 		return Result{}, err
+	}
+	if opt.MergeStatuses && !materialize {
+		if opt.Substrate == SubstrateTree {
+			return Result{}, ErrMergeTree
+		}
+		opt.Substrate = SubstrateDAG
 	}
 	if opt.Substrate == SubstrateDAG {
 		if materialize {
@@ -168,13 +177,12 @@ func run(ctx context.Context, cat *catalog.Catalog, start status.Status, end ter
 	e.ctl = newControl(ctx, opt.Budget)
 	if sink != nil && e.ctl == nil {
 		// A sink can stop the run (ErrStopEmit); give it a control so the
-		// stop propagates to every expansion site (and parallel workers).
+		// stop propagates to every expansion site.
 		e.ctl = &control{done: ctx.Done(), ctx: ctx}
 	}
 	var collect *CollectSink
 	if materialize {
 		e.materialized = true
-		e.assignIDs = true
 		collect = NewCollectSink(start)
 		if sink != nil {
 			e.sink = Tee(collect, sink)
@@ -182,23 +190,16 @@ func run(ctx context.Context, cat *catalog.Catalog, start status.Status, end ter
 			e.sink = collect
 		}
 		e.res.Nodes = 1
-		if e.intern != nil {
-			e.intern[start.MapKey()] = 0
+		if opt.MergeStatuses {
+			e.intern = map[status.MapKey]int64{start.MapKey(): 0}
 		}
 	} else {
 		e.sink = sink
-		e.assignIDs = opt.Workers <= 1
 	}
 	e.nextID = 1
 
 	began := time.Now()
-	var tally [2]int64
-	var err error
-	if !materialize && opt.Workers > 1 {
-		tally, err = e.countParallel(start, opt.Workers)
-	} else {
-		tally, err = e.walk(start, 0)
-	}
+	tally, err := e.walk(start, 0)
 	sinkStopped := false
 	switch {
 	case errors.Is(err, errStopRun):
@@ -263,26 +264,14 @@ func (e *engine) progress() Progress {
 // (the legacy LIFO pop order), so budget-stopped partial graphs are
 // bit-identical to the old materialize; a counting/streaming walk
 // descends into each child as it is enumerated, exactly as the legacy
-// count did. The run control is consulted once per visited node, and a
-// tally whose computation spanned a stop is never memoised — partial
-// counts must not poison the memo shared with future complete lookups.
+// count did. The run control is consulted once per visited node; a
+// stopped subtree returns its partial tally, so the caller's total stays
+// a lower bound.
 func (e *engine) walk(st status.Status, id int64) ([2]int64, error) {
 	var out [2]int64
 	if e.ctl != nil {
 		if e.ctl.halted() != stopNone || e.ctl.noteNode() {
 			return out, nil
-		}
-	}
-	var key status.MapKey
-	if e.shared != nil {
-		key = st.MapKey()
-		if c, ok := e.shared.get(key); ok {
-			return c, nil
-		}
-	} else if e.memo != nil && !e.materialized {
-		key = st.MapKey()
-		if c, ok := e.memo[key]; ok {
-			return c, nil
 		}
 	}
 	if !e.materialized {
@@ -311,23 +300,10 @@ func (e *engine) walk(st status.Status, id int64) ([2]int64, error) {
 	case classPruned:
 		return out, e.emitPruned(id, st)
 	}
-	var err error
 	if e.materialized {
-		out, err = e.expandMaterialized(st, id, minTake)
-	} else {
-		out, err = e.expandStreaming(st, id, minTake)
+		return e.expandMaterialized(st, id, minTake)
 	}
-	if err != nil || e.ctl.interrupted() {
-		// The subtree tally may be partial: return it (the caller's total
-		// stays a lower bound) but never memoise it.
-		return out, err
-	}
-	if e.shared != nil {
-		e.shared.put(key, out)
-	} else if e.memo != nil && !e.materialized {
-		e.memo[key] = out
-	}
-	return out, nil
+	return e.expandStreaming(st, id, minTake)
 }
 
 // emitTerminal emits the KindPath event for a completed path ending at st.
@@ -436,11 +412,8 @@ func (e *engine) expandStreaming(st status.Status, id int64, minTake int) ([2]in
 		childless = false
 		e.res.Edges++
 		child := e.advance(st, w)
-		cid := int64(-1)
-		if e.assignIDs {
-			cid = e.nextID
-			e.nextID++
-		}
+		cid := e.nextID
+		e.nextID++
 		if e.sink != nil {
 			if err := e.emit(Event{Kind: KindEdge, Parent: id, Node: cid, Status: child, Selection: w}); err != nil {
 				return err
@@ -474,67 +447,4 @@ func (e *engine) notePaths(n int64) {
 	if e.ctl != nil {
 		e.ctl.notePaths(n)
 	}
-}
-
-// expandOnce classifies st and, when it is expandable, hands each child
-// status (with the selection that produced it) to child. The return value
-// is st's own terminal tally: {1,1} for a goal node, {1,0} for a deadline
-// endpoint or natural dead end, {0,0} when st was pruned or expanded into
-// children. Node/edge/prune tallies accrue to e.res exactly as walk's do,
-// so decomposing a subtree with expandOnce and summing the pieces
-// reproduces walk's totals. steps is the root→st spine, used for the
-// terminal events of streaming runs.
-func (e *engine) expandOnce(st status.Status, steps []Step, child func(w bitset.Set, ch status.Status)) ([2]int64, error) {
-	if e.ctl != nil {
-		if e.ctl.halted() != stopNone || e.ctl.noteNode() {
-			return [2]int64{}, nil
-		}
-	}
-	e.res.Nodes++
-	spine := e.spine
-	e.spine = steps
-	defer func() { e.spine = spine }()
-	class, minTake := e.classify(st)
-	switch class {
-	case classGoal:
-		err := e.emitTerminal(-1, st, true)
-		e.notePaths(1)
-		return [2]int64{1, 1}, err
-	case classDeadline:
-		err := e.emitTerminal(-1, st, false)
-		e.notePaths(1)
-		return [2]int64{1, 0}, err
-	case classPruned:
-		return [2]int64{0, 0}, e.emitPruned(-1, st)
-	}
-	childless, stopped := true, false
-	err := e.selections(st, minTake, func(w bitset.Set) error {
-		if e.ctl.interrupted() {
-			stopped = true
-			return errStopRun
-		}
-		childless = false
-		e.res.Edges++
-		ch := e.advance(st, w)
-		if e.sink != nil {
-			if err := e.emit(Event{Kind: KindEdge, Parent: -1, Node: -1, Status: ch, Selection: w}); err != nil {
-				return err
-			}
-		}
-		child(w, ch)
-		return nil
-	})
-	if errors.Is(err, errStopRun) {
-		stopped = true
-		err = nil
-	}
-	if err != nil {
-		return [2]int64{}, err
-	}
-	if childless && !stopped {
-		err := e.emitTerminal(-1, st, false)
-		e.notePaths(1)
-		return [2]int64{1, 0}, err
-	}
-	return [2]int64{0, 0}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -64,11 +63,12 @@ type Progress struct {
 // Event is one exploration event. Which fields are meaningful depends on
 // Kind:
 //
-//   - KindEdge: Parent, Node (engine node ids; -1 when the run assigns no
-//     ids, e.g. parallel counting), Status (the child), Selection, Cost
-//     (the ranker's edge cost, 0 otherwise) and Reused (the child was an
-//     already-interned node — MergeStatuses materialisation only).
-//   - KindPath: Node, Status (the terminal), Goal, Steps (the
+//   - KindEdge: Parent, Node (engine node ids), Status (the child),
+//     Selection, Cost (the ranker's edge cost, 0 otherwise) and Reused
+//     (the child was an already-interned node — MergeStatuses
+//     materialisation only).
+//   - KindPath: Node (-1 on the DAG substrate's unfold, which has no
+//     per-path node identity), Status (the terminal), Goal, Steps (the
 //     root→terminal spine; shared with the engine, copy to retain), and
 //     for ranked runs PathCost/PathValue.
 //   - KindPruned: Node, Status, Strategy (the pruner's name).
@@ -96,9 +96,8 @@ type Event struct {
 
 // Sink receives exploration events. Returning ErrStopEmit ends the run
 // cleanly (Result.Stopped = StopSink); any other error aborts it and is
-// returned to the caller. Sinks passed to serial runs are called from one
-// goroutine; parallel runs serialise emission internally, so a Sink never
-// sees concurrent calls.
+// returned to the caller. Every run emits from one goroutine, so a Sink
+// never sees concurrent calls.
 type Sink interface {
 	Emit(Event) error
 }
@@ -243,36 +242,15 @@ func (s *MeterSink) Emit(ev Event) error {
 	return s.Next.Emit(ev)
 }
 
-// lockedSink serialises Emit calls from parallel counting workers so the
-// caller's Sink never sees concurrent events. The run control is
-// re-checked under the mutex: a worker that passed its own halt check and
-// then blocked here (while the lock holder's callback cancelled the run)
-// must not deliver its stale event.
-type lockedSink struct {
-	mu   sync.Mutex
-	ctl  *control
-	next Sink
-}
-
-func (s *lockedSink) Emit(ev Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ctl != nil && s.ctl.halted() != stopNone {
-		return errStopRun
-	}
-	return s.next.Emit(ev)
-}
-
 // CollectSink materialises the event stream back into a learning graph —
 // the legacy Deadline/Goal Result is exactly a streaming run collected by
 // this sink. It consumes edge events to build nodes and transitions
 // (mapping engine node ids to graph ids) and path/pruned events to mark
 // goal and pruned nodes.
 //
-// CollectSink requires a run that assigns node ids — any serial run; the
-// ids emitted by parallel workers are not globally unique — and, under
-// plain (non-merged) streaming, a run without MergeStatuses, whose memo
-// elides the edges of repeated subtrees.
+// CollectSink requires a tree-walk run, which numbers its nodes; the DAG
+// substrate (SubstrateDAG, or MergeStatuses on a stream) emits no edge
+// events.
 type CollectSink struct {
 	g   *graph.Graph
 	ids map[int64]graph.NodeID
@@ -336,7 +314,7 @@ func (c *CollectSink) Emit(ev Event) error {
 	case KindEdge:
 		parent, ok := c.ids[ev.Parent]
 		if !ok {
-			return errors.New("explore: CollectSink saw an edge from an unknown node (parallel or merged streaming run?)")
+			return errors.New("explore: CollectSink saw an edge from an unknown node")
 		}
 		child, ok := c.ids[ev.Node]
 		if !ok {

@@ -36,8 +36,9 @@ type SelectionImpact struct {
 // are sorted by descending GoalPaths (ties: more next-semester options,
 // then smaller selections first).
 //
-// Counting uses status interning per candidate, so the total work is
-// bounded by the goal-driven DAG size rather than candidates × tree.
+// Counting runs on the DAG counting kernel (see CompareSelectionsStream),
+// so the total work is bounded by the goal-driven DAG size rather than
+// candidates × tree.
 func CompareSelections(cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options) ([]SelectionImpact, error) {
 	out, _, err := CompareSelectionsCtx(context.Background(), cat, start, end, goal, pruners, opt)
 	return out, err
@@ -81,8 +82,9 @@ func CompareSelectionsCtx(ctx context.Context, cat *catalog.Catalog, start statu
 //
 // Unless Options.Substrate forces the tree walk, candidates are scored
 // on one DAG counting kernel (see whatIfDAG): subtrees common to several
-// candidates are counted once. The tree path re-counts each candidate
-// from scratch.
+// candidates are counted once. SubstrateTree counts each candidate with
+// the plain tree walk instead — the independent oracle the kernel is
+// tested against.
 func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, fn func(SelectionImpact) error) (string, error) {
 	if goal == nil {
 		return "", fmt.Errorf("explore: CompareSelections requires a goal")
@@ -115,9 +117,7 @@ func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start st
 				impact.Paths = 1
 			}
 		} else {
-			countOpt := opt
-			countOpt.MergeStatuses = true
-			res, err := GoalCountCtx(ctx, cat, child, end, goal, pruners, countOpt)
+			res, err := GoalCountCtx(ctx, cat, child, end, goal, pruners, opt)
 			if err != nil {
 				return err
 			}

@@ -16,17 +16,16 @@ import (
 // and is returned as-is.
 var ErrStopStream = errors.New("coursenav: stop streaming")
 
-// ErrMergedStreamUnsupported reports a streaming request that cannot
-// honour Query.MergeStatuses: on the tree substrate a merged subtree is
-// walked once and loses per-path identity, and a collected stream
-// (DeadlineStreamCollect, GoalStreamCollect) needs exactly that per-path
-// node identity for its graph. Plain streams support MergeStatuses via
-// the DAG substrate's lazy unfold — statuses are interned (merged) during
-// construction and every full path is still emitted — so leave
-// Query.Substrate as "auto"/"dag" for DeadlineStream and GoalStream, or
-// turn MergeStatuses off. Test with errors.Is.
-var ErrMergedStreamUnsupported = errors.New(
-	"coursenav: this stream cannot merge statuses (per-path identity is lost on the tree substrate); use DeadlineStream/GoalStream with substrate auto or dag — the DAG's lazy unfold merges statuses and still emits every path — or turn MergeStatuses off")
+// ErrMergedStreamUnsupported reports a request that cannot honour
+// Query.MergeStatuses because it needs the tree walk, which never merges
+// statuses: a count or stream with Substrate "tree", or a collected
+// stream (DeadlineStreamCollect, GoalStreamCollect), whose graph needs
+// the tree walk's per-path node identity. Plain streams and counts merge
+// on the DAG substrate — statuses are interned during construction and
+// every full path is still emitted — so leave Query.Substrate as
+// "auto"/"dag", or turn MergeStatuses off. It is explore.ErrMergeTree;
+// test with errors.Is.
+var ErrMergedStreamUnsupported = explore.ErrMergeTree
 
 // StreamedPath is one incrementally delivered learning path.
 type StreamedPath struct {
@@ -59,17 +58,11 @@ func (n *Navigator) pathFromSteps(steps []explore.Step) Path {
 // hard node cap exists to bound materialised graphs, which streaming
 // runs never build (use Query.Budget.MaxNodes to bound work).
 //
-// Query.MergeStatuses is supported by routing the run onto the DAG
-// substrate: the engine interns (merges) statuses while building the
-// interned-status DAG, then lazily unfolds it so every full path is
-// still delivered, in the serial tree walk's depth-first order.
-// Combining MergeStatuses with Substrate "tree" returns
-// ErrMergedStreamUnsupported — the tree walk cannot merge without losing
-// path identity.
-//
-// With Query.Workers > 1 the engine fans out and paths arrive in
-// nondeterministic order (the multiset is exact); fn is never called
-// concurrently.
+// Query.MergeStatuses runs the stream on the DAG substrate: the engine
+// interns (merges) statuses while building the interned-status DAG, then
+// lazily unfolds it so every full path is still delivered, in the tree
+// walk's depth-first order. Combining MergeStatuses with Substrate "tree"
+// returns ErrMergedStreamUnsupported — the tree walk never merges.
 func (n *Navigator) DeadlineStream(ctx context.Context, q Query, fn func(StreamedPath) error) (Summary, error) {
 	return n.stream(ctx, q, Goal{}, fn)
 }
@@ -93,14 +86,6 @@ func (n *Navigator) stream(ctx context.Context, q Query, g Goal, fn func(Streame
 	start, end, opt, err := n.compile(q)
 	if err != nil {
 		return Summary{}, err
-	}
-	if q.MergeStatuses {
-		// A merged stream runs on the DAG: interned construction, lazy
-		// unfold, every path still emitted (see DeadlineStream).
-		if opt.Substrate == explore.SubstrateTree {
-			return Summary{}, ErrMergedStreamUnsupported
-		}
-		opt.Substrate = explore.SubstrateDAG
 	}
 	var pruners []explore.Pruner
 	if g.inner != nil {
@@ -196,11 +181,12 @@ func (n *Navigator) topKStream(ctx context.Context, q Query, g Goal, ranker rank
 // DeadlineStream would, and when the run completes cleanly with at most
 // maxNodes graph nodes the materialised learning graph is returned too —
 // the same graph DeadlineCtx would have built. The graph is nil whenever
-// it cannot be collected faithfully: the run stopped early or failed, the
-// node count exceeded maxNodes (the condition DeadlineCtx reports as a
-// budget error), or Query.Workers > 1 (parallel node ids are not
-// globally unique). Collection never disturbs delivery — overflow simply
-// stops collecting while paths keep flowing.
+// it cannot be collected faithfully: the run stopped early or failed, or
+// the node count exceeded maxNodes (the condition DeadlineCtx reports as
+// a budget error). Collection never disturbs delivery — overflow simply
+// stops collecting while paths keep flowing. Query.MergeStatuses is
+// rejected with ErrMergedStreamUnsupported: collection needs the tree
+// walk.
 func (n *Navigator) DeadlineStreamCollect(ctx context.Context, q Query, maxNodes int, fn func(StreamedPath) error) (*Graph, Summary, error) {
 	return n.streamCollect(ctx, q, Goal{}, fn, maxNodes)
 }
@@ -220,10 +206,6 @@ func (n *Navigator) streamCollect(ctx context.Context, q Query, g Goal, fn func(
 		// which only the tree walk produces; the DAG unfold has no per-path
 		// node identity to collect.
 		return nil, Summary{}, ErrMergedStreamUnsupported
-	}
-	if q.Workers > 1 {
-		sum, err := n.stream(ctx, q, g, fn)
-		return nil, sum, err
 	}
 	if fn == nil {
 		return nil, Summary{}, fmt.Errorf("coursenav: streaming requires a callback")
