@@ -12,18 +12,23 @@ GO ?= go
 check: lint build perfbench-check routes-guard chaos-short cohort-short race-short race fuzz-short bench-smoke bench-regress
 
 # API.md's endpoint table and the registered mux patterns must stay
-# equal in both directions — a new route lands with its documentation
-# or not at all.
+# equal in both directions, as must DESIGN.md §3's list of *Navigator
+# methods and the exported method set — a new route or façade entry
+# point lands with its documentation or not at all.
 routes-guard:
-	$(GO) test -run 'TestRouteInventoryMatchesDocs' ./internal/server/
+	$(GO) test -run 'TestRouteInventoryMatchesDocs|TestNavigatorSurfaceMatchesDocs' . ./internal/server/
 
 vet:
 	$(GO) vet ./...
 
-# Static analysis: vet always; staticcheck when installed (CI installs
-# it — see .github/workflows/ci.yml; locally it is optional and skipped
-# with a note rather than failing the build).
+# Static analysis: vet and a gofmt gate (any file gofmt would rewrite
+# fails the build) always; staticcheck when installed (CI installs it —
+# see .github/workflows/ci.yml; locally it is optional and skipped with a
+# note rather than failing the build).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

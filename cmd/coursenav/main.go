@@ -148,9 +148,9 @@ func run(args []string) error {
 	case "options":
 		return a.cmdOptions(cmdArgs)
 	case "deadline":
-		return a.cmdDeadline(cmdArgs)
+		return a.cmdExplore(cmd, false, cmdArgs)
 	case "goal":
-		return a.cmdGoal(cmdArgs)
+		return a.cmdExplore(cmd, true, cmdArgs)
 	case "rank":
 		return a.cmdRank(cmdArgs)
 	case "audit":
@@ -341,33 +341,6 @@ func streamList(limit int, goalOnly bool, run func(fn func(coursenav.StreamedPat
 	return nil
 }
 
-func (a *app) cmdDeadline(args []string) error {
-	fs := flag.NewFlagSet("deadline", flag.ContinueOnError)
-	sf := addStudentFlags(fs)
-	rf := addRenderFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *rf.count {
-		sum, err := a.nav.DeadlineCount(sf.query())
-		if err != nil {
-			return err
-		}
-		printSummary(sum)
-		return nil
-	}
-	if !rf.wantsGraph() {
-		return streamList(*rf.limit, false, func(fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			return a.nav.DeadlineStream(context.Background(), sf.query(), fn)
-		})
-	}
-	g, sum, err := a.nav.Deadline(sf.query())
-	if err != nil {
-		return err
-	}
-	return a.render(g, sum, rf)
-}
-
 // goalFlags parse the three goal forms.
 type goalFlags struct {
 	courses *string
@@ -414,23 +387,33 @@ func (a *app) buildGoal(gf goalFlags) (coursenav.Goal, error) {
 	}
 }
 
-func (a *app) cmdGoal(args []string) error {
-	fs := flag.NewFlagSet("goal", flag.ContinueOnError)
+// cmdExplore runs the deadline (withGoal false) and goal subcommands:
+// -count counts, a graph render materialises, and anything else streams
+// the path listing (goal: goal paths only).
+func (a *app) cmdExplore(name string, withGoal bool, args []string) error {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	sf := addStudentFlags(fs)
 	rf := addRenderFlags(fs)
-	gf := addGoalFlags(fs)
-	noPrune := fs.Bool("no-pruning", false, "disable the §4.2 pruning strategies")
+	var gf goalFlags
+	var noPrune *bool
+	if withGoal {
+		gf = addGoalFlags(fs)
+		noPrune = fs.Bool("no-pruning", false, "disable the §4.2 pruning strategies")
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	goal, err := a.buildGoal(gf)
-	if err != nil {
-		return err
-	}
 	q := sf.query()
-	q.NoPruning = *noPrune
+	if withGoal {
+		goal, err := a.buildGoal(gf)
+		if err != nil {
+			return err
+		}
+		q.Goal, q.NoPruning = goal, *noPrune
+	}
+	ctx := context.Background()
 	if *rf.count {
-		sum, err := a.nav.GoalPathsCount(q, goal)
+		sum, err := a.nav.Count(ctx, q)
 		if err != nil {
 			return err
 		}
@@ -438,11 +421,11 @@ func (a *app) cmdGoal(args []string) error {
 		return nil
 	}
 	if !rf.wantsGraph() {
-		return streamList(*rf.limit, true, func(fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			return a.nav.GoalStream(context.Background(), q, goal, fn)
+		return streamList(*rf.limit, withGoal, func(fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
+			return a.nav.Stream(ctx, q, fn)
 		})
 	}
-	g, sum, err := a.nav.GoalPaths(q, goal)
+	g, sum, err := a.nav.Collect(ctx, q)
 	if err != nil {
 		return err
 	}
@@ -460,6 +443,10 @@ func (a *app) cmdRank(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// K > 0 is what makes the streamed query a ranked one.
+	if *k <= 0 {
+		return fmt.Errorf("rank: -k must be positive, got %d", *k)
+	}
 	goal, err := a.buildGoal(gf)
 	if err != nil {
 		return err
@@ -471,8 +458,10 @@ func (a *app) cmdRank(args []string) error {
 	}
 	// Stream the top-k: best-first search delivers each path the moment
 	// it is popped, best path first, long before the search finishes.
+	q := sf.query()
+	q.Goal, q.Ranking, q.K = goal, *ranking, *k
 	n := 0
-	sum, err := a.nav.TopKStream(context.Background(), sf.query(), goal, *ranking, *k, func(p coursenav.StreamedPath) error {
+	sum, err := a.nav.Stream(context.Background(), q, func(p coursenav.StreamedPath) error {
 		n++
 		fmt.Printf("%3d. [%s=%.4g] %s\n", n, *ranking, p.Value, p.Path)
 		return nil
@@ -579,7 +568,9 @@ func (a *app) cmdWhatIf(args []string) error {
 	if err != nil {
 		return err
 	}
-	impacts, err := a.nav.CompareSelections(sf.query(), goal)
+	q := sf.query()
+	q.Goal = goal
+	impacts, _, err := a.nav.WhatIf(context.Background(), q)
 	if err != nil {
 		return err
 	}

@@ -5,15 +5,21 @@
 //
 // A Navigator wraps a course catalog (course set C, prerequisite
 // conditions Q, schedules S) and answers the paper's three exploration
-// queries for a student's enrollment status:
+// queries for a student's enrollment status. One Query describes the
+// request, and its fields pick the query:
 //
-//   - Deadline: every learning path up to an end semester (Algorithm 1).
-//   - GoalPaths: the paths meeting a goal requirement — a set of desired
-//     courses, a boolean expression, or a counted degree requirement —
-//     generated with the time-based and course-availability pruning
-//     strategies of §4.2.
-//   - TopK: the k best goal paths under the time, workload or reliability
-//     ranking of §4.3, via best-first search.
+//   - deadline-driven (zero Goal): every learning path up to an end
+//     semester (Algorithm 1).
+//   - goal-driven (Goal set): the paths meeting a goal requirement — a
+//     set of desired courses, a boolean expression, or a counted degree
+//     requirement — generated with the time-based and
+//     course-availability pruning strategies of §4.2.
+//   - ranked (K > 0): the K best goal paths under the time, workload or
+//     reliability ranking of §4.3, via best-first search.
+//
+// A terminal operation runs the query: Count, Collect, Ranked, Stream,
+// StreamCollect, Seq, and — for the §1 what-if question over a goal
+// query — WhatIf and WhatIfStream.
 //
 // Construct a Navigator from the embedded Brandeis-like evaluation
 // dataset (Brandeis), from catalog JSON (NewFromJSON), or from raw
@@ -364,7 +370,12 @@ func (n *Navigator) GoalDegree(groups ...DegreeGroup) (Goal, error) {
 	return Goal{inner: g}, nil
 }
 
-// Query describes a student's enrollment status and exploration window.
+// Query is one exploration request: a student's enrollment status and
+// window, the constraints on the paths, and which of the paper's queries
+// to answer — deadline-driven (Algorithm 1) when Goal is zero,
+// goal-driven (§4.2) when it is set, top-k ranked (§4.3) when K > 0. The
+// Navigator's terminal operations (Count, Collect, Ranked, Stream,
+// StreamCollect, Seq, WhatIf, WhatIfStream) run it.
 type Query struct {
 	// Completed lists the student's completed course IDs (the X of §2).
 	Completed []string
@@ -374,13 +385,37 @@ type Query struct {
 	End string
 	// MaxPerTerm is the per-semester course limit m; 0 = unlimited.
 	MaxPerTerm int
+	// Goal selects goal-driven exploration (§4.2): the paths meeting a
+	// set of desired courses, a boolean expression, or a counted degree
+	// requirement, generated with the time-based and course-availability
+	// pruning strategies. The zero Goal is deadline-driven.
+	Goal Goal
+	// K, when positive, selects the top-k ranked search (§4.3): the K best
+	// goal paths, best first, by best-first search. A ranked query needs
+	// a Goal, and takes Ranking or Weights, not both.
+	K int
+	// Ranking names the ranking function of a ranked query: "time" (also
+	// the default, ""), "workload" or "reliability" (see Rankings).
+	// Reliability requires UseSyntheticHistory (or a released schedule
+	// covering the whole window).
+	Ranking string
+	// Weights ranks by a linear combination of ranking functions instead
+	// (the paper's §6 "more complex ranking functions"): cost =
+	// Σ weightᵢ·costᵢ on each ranking's native scale. Lemma 2's top-k
+	// guarantee carries over (see rank.Weighted).
+	Weights []Weight
+	// Horizon, on a goal Count or a SharedCounter, extends the answered
+	// deadlines to every semester in [End, End+Horizon]: Count then fills
+	// Summary.GoalPathsAt from ONE counting run. Negative is an error.
+	Horizon int
 	// MergeStatuses enables the status-interning ablation (DESIGN.md §2):
 	// materialised graphs merge identical statuses, and counts and
 	// streams run on the interned-status DAG. Combined with Substrate
 	// "tree" it fails a count or stream with ErrMergedStreamUnsupported.
 	MergeStatuses bool
 	// MaxNodes bounds materialised graphs (0 = unlimited); exceeding it
-	// returns an error, mirroring the paper's out-of-memory rows.
+	// makes Collect return an error, mirroring the paper's out-of-memory
+	// rows, and makes StreamCollect skip the graph.
 	MaxNodes int
 	// NoPruning disables the §4.2 pruning strategies on goal queries (the
 	// Table 1 baseline).
@@ -394,27 +429,26 @@ type Query struct {
 	// MinPerTerm, when positive, is a floor on courses per enrolled
 	// semester (semesters off stay allowed).
 	MinPerTerm int
-	// MaxPathCost, when positive, restricts TopK to paths whose ranking
-	// cost is at most the threshold (§4.3.1's workload-threshold
+	// MaxPathCost, when positive, restricts ranked queries to paths whose
+	// ranking cost is at most the threshold (§4.3.1's workload-threshold
 	// queries).
 	MaxPathCost float64
 	// Substrate selects the search structure: "" or "auto" lets each
-	// entry point choose (counting and what-if queries run on the
-	// interned-status DAG, which answers them in time proportional to the
-	// number of distinct statuses rather than the number of paths; path
-	// enumeration keeps the tree walk), "tree" forces the legacy walk
-	// everywhere, and "dag" forces the DAG — materialising queries
-	// (Deadline, GoalPaths) then fail, since a materialised learning
+	// operation choose (Count and WhatIf run on the interned-status DAG,
+	// which answers them in time proportional to the number of distinct
+	// statuses rather than the number of paths; path enumeration keeps the
+	// tree walk), "tree" forces the legacy walk everywhere, and "dag"
+	// forces the DAG — Collect then fails, since a materialised learning
 	// graph is inherently per-path. Tallies are identical on either
 	// substrate; only Nodes/Edges bookkeeping differs (the DAG counts
 	// distinct statuses once).
 	Substrate string
 	// Budget bounds the run's wall clock, generated statuses and tallied
-	// paths. A run that exhausts a bound (or whose context is cancelled,
-	// on the *Ctx methods) ends with a partial result whose
-	// Summary.Stopped names the cause, rather than an error — the
-	// contract that keeps interactive serving responsive on adversarial
-	// windows. The zero Budget imposes no bounds.
+	// paths. A run that exhausts a bound (or whose context is cancelled)
+	// ends with a partial result whose Summary.Stopped names the cause,
+	// rather than an error — the contract that keeps interactive serving
+	// responsive on adversarial windows. The zero Budget imposes no
+	// bounds.
 	Budget Budget
 }
 
@@ -432,63 +466,157 @@ type Budget struct {
 	MaxPaths int64
 }
 
-func (n *Navigator) compile(q Query) (status.Status, term.Term, explore.Options, error) {
-	var zero status.Status
-	start, err := term.Parse(term.TwoSeason, q.Start)
-	if err != nil {
-		return zero, term.Term{}, explore.Options{}, fmt.Errorf("coursenav: start term: %v", err)
+// op is a terminal operation as compile sees it: its name, for error
+// messages, and the queries it answers.
+type op struct {
+	name          string
+	plain, ranked bool // answers deadline/goal queries; ranked ones
+	needGoal      bool
+	horizon       bool // reads Query.Horizon
+}
+
+var (
+	opCount         = op{name: "Count", plain: true, horizon: true}
+	opCollect       = op{name: "Collect", plain: true}
+	opRanked        = op{name: "Ranked", ranked: true}
+	opStream        = op{name: "Stream", plain: true, ranked: true}
+	opStreamCollect = op{name: "StreamCollect", plain: true}
+	opWhatIf        = op{name: "WhatIf", plain: true, needGoal: true}
+	opCounter       = op{name: "NewSharedCounter", plain: true, needGoal: true, horizon: true}
+)
+
+// plan is a compiled Query: the engine's inputs for one operation.
+type plan struct {
+	start     status.Status
+	end       term.Term
+	opt       explore.Options
+	goal      degree.Goal // nil for deadline-driven queries
+	noPruning bool
+	ranker    rank.Ranker // non-nil for ranked queries
+	k         int
+	horizon   int
+}
+
+// pruners returns a goal plan's §4.2 strategies (nil without a goal or
+// with NoPruning). It is built at each engine call rather than stored in
+// the plan so that, inlined, the slice stays on the caller's stack.
+func (n *Navigator) pruners(p plan) []explore.Pruner {
+	if p.goal == nil || p.noPruning {
+		return nil
 	}
-	if q.End == "" {
-		return zero, term.Term{}, explore.Options{}, fmt.Errorf("coursenav: empty end term: an exploration needs a deadline semester, e.g. \"Fall 2015\"")
-	}
-	end, err := term.Parse(term.TwoSeason, q.End)
+	return explore.PaperPruners(n.cat, p.goal, p.opt.MaxPerTerm)
+}
+
+// compile validates q for operation o and builds its plan. It is the one
+// place that checks how Query fields combine, and it fails before any
+// engine work.
+func (n *Navigator) compile(q Query, o op) (plan, error) {
+	st, err := term.Parse(term.TwoSeason, q.Start)
 	if err != nil {
-		return zero, term.Term{}, explore.Options{}, fmt.Errorf("coursenav: end (deadline) term: %v", err)
+		return plan{}, fmt.Errorf("coursenav: start term: %v", err)
+	}
+	p, err := n.compileTemplate(q, o)
+	if err != nil {
+		return plan{}, err
 	}
 	x, err := n.cat.SetOf(q.Completed...)
 	if err != nil {
-		return zero, term.Term{}, explore.Options{}, err
+		return plan{}, err
 	}
-	opt, err := n.compileOptions(q)
-	if err != nil {
-		return zero, term.Term{}, explore.Options{}, err
-	}
-	return status.New(n.cat, start, x), end, opt, nil
+	p.start = status.New(n.cat, st, x)
+	return p, nil
 }
 
-// compileOptions builds the engine options and constraints from a query,
-// ignoring its start/end/completed fields. Split from compile so callers
-// holding a query *template* — a cohort request whose members each bring
-// their own start and completed set — can compile the shared parts once.
-func (n *Navigator) compileOptions(q Query) (explore.Options, error) {
+// compileTemplate is compile without the start/completed fields. Split
+// out so callers holding a query *template* — a shared counter whose
+// member positions each bring their own start and completed set — can
+// compile the shared parts once.
+func (n *Navigator) compileTemplate(q Query, o op) (plan, error) {
+	ranked := q.K != 0 || q.Ranking != "" || len(q.Weights) > 0
+	switch {
+	case ranked && q.K <= 0:
+		return plan{}, fmt.Errorf("coursenav: k must be positive, got %d", q.K)
+	case ranked && q.Goal.inner == nil:
+		return plan{}, fmt.Errorf("coursenav: a ranked query (K > 0) needs a Goal")
+	case ranked && q.Ranking != "" && len(q.Weights) > 0:
+		return plan{}, fmt.Errorf("coursenav: set Ranking or Weights, not both")
+	case ranked && !o.ranked:
+		return plan{}, fmt.Errorf("coursenav: %s does not answer ranked queries (K > 0); use Ranked, Stream or Seq", o.name)
+	case !ranked && !o.plain:
+		return plan{}, fmt.Errorf("coursenav: %s answers ranked queries only; set K > 0", o.name)
+	case o.needGoal && q.Goal.inner == nil:
+		return plan{}, fmt.Errorf("coursenav: %s requires a goal", o.name)
+	case q.Horizon < 0:
+		return plan{}, fmt.Errorf("coursenav: negative horizon %d", q.Horizon)
+	case q.Horizon > 0 && !o.horizon:
+		return plan{}, fmt.Errorf("coursenav: Horizon applies to Count and NewSharedCounter, not %s", o.name)
+	case q.Horizon > 0 && q.Goal.inner == nil:
+		return plan{}, fmt.Errorf("coursenav: Horizon needs a goal")
+	}
+	if q.End == "" {
+		return plan{}, fmt.Errorf("coursenav: empty end term: an exploration needs a deadline semester, e.g. \"Fall 2015\"")
+	}
+	end, err := term.Parse(term.TwoSeason, q.End)
+	if err != nil {
+		return plan{}, fmt.Errorf("coursenav: end (deadline) term: %v", err)
+	}
 	sub, err := parseSubstrate(q.Substrate)
 	if err != nil {
-		return explore.Options{}, err
+		return plan{}, err
 	}
-	opt := explore.Options{
-		MaxPerTerm:    q.MaxPerTerm,
-		MergeStatuses: q.MergeStatuses,
-		MaxNodes:      q.MaxNodes,
-		MaxPathCost:   q.MaxPathCost,
-		Substrate:     sub,
-		Budget:        explore.Budget(q.Budget),
+	p := plan{
+		end: end,
+		opt: explore.Options{
+			MaxPerTerm:    q.MaxPerTerm,
+			MergeStatuses: q.MergeStatuses,
+			MaxNodes:      q.MaxNodes,
+			MaxPathCost:   q.MaxPathCost,
+			Substrate:     sub,
+			Budget:        explore.Budget(q.Budget),
+		},
+		goal:      q.Goal.inner,
+		noPruning: q.NoPruning,
+		k:         q.K,
+		horizon:   q.Horizon,
 	}
 	if len(q.Avoid) > 0 {
 		avoid, err := explore.NewAvoid(n.cat, q.Avoid...)
 		if err != nil {
-			return explore.Options{}, err
+			return plan{}, err
 		}
-		opt.Constraints = append(opt.Constraints, avoid)
+		p.opt.Constraints = append(p.opt.Constraints, avoid)
 	}
 	if q.MaxTermWorkload > 0 {
-		opt.Constraints = append(opt.Constraints, explore.MaxTermWorkload{
+		p.opt.Constraints = append(p.opt.Constraints, explore.MaxTermWorkload{
 			W: n.cat.Workloads(), Hours: q.MaxTermWorkload,
 		})
 	}
 	if q.MinPerTerm > 0 {
-		opt.Constraints = append(opt.Constraints, explore.MinPerTerm{Count: q.MinPerTerm})
+		p.opt.Constraints = append(p.opt.Constraints, explore.MinPerTerm{Count: q.MinPerTerm})
 	}
-	return opt, nil
+	if ranked {
+		if p.ranker, err = n.ranker(q); err != nil {
+			return plan{}, err
+		}
+	}
+	return p, nil
+}
+
+// ranker builds a ranked query's ranking function: the named one, or the
+// weighted combination.
+func (n *Navigator) ranker(q Query) (rank.Ranker, error) {
+	if len(q.Weights) == 0 {
+		return rank.ByName(q.Ranking, n.cat.Workloads(), n.probFn())
+	}
+	comps := make([]rank.Component, len(q.Weights))
+	for i, w := range q.Weights {
+		r, err := rank.ByName(w.Ranking, n.cat.Workloads(), n.probFn())
+		if err != nil {
+			return nil, err
+		}
+		comps[i] = rank.Component{Ranker: r, Weight: w.Weight}
+	}
+	return rank.NewWeighted(comps...)
 }
 
 // parseSubstrate maps Query.Substrate to the engine's enum.
@@ -505,18 +633,15 @@ func parseSubstrate(s string) (explore.Substrate, error) {
 	}
 }
 
-func (n *Navigator) pruners(q Query, g Goal) []explore.Pruner {
-	if q.NoPruning {
-		return nil
-	}
-	return explore.PaperPruners(n.cat, g.inner, q.MaxPerTerm)
-}
-
 // Summary reports an exploration run's tallies (see paper Tables 1-2).
 type Summary struct {
 	// Paths counts generated maximal paths; GoalPaths those ending at a
-	// goal-satisfying status.
+	// goal-satisfying status. A ranked run counts its returned paths.
 	Paths, GoalPaths int64
+	// GoalPathsAt is set by a Count with Query.Horizon > 0: entry i is the
+	// GoalPaths total the same query with deadline End+i would report.
+	// Paths and GoalPaths are then relative to End+Horizon.
+	GoalPathsAt []int64
 	// Nodes and Edges count generated statuses and transitions.
 	Nodes, Edges int64
 	// PrunedTime and PrunedAvail count nodes cut per strategy.
@@ -547,115 +672,93 @@ func summarize(r explore.Result) Summary {
 	}
 }
 
-// Deadline materialises the deadline-driven learning graph (Algorithm 1).
-func (n *Navigator) Deadline(q Query) (*Graph, Summary, error) {
-	return n.DeadlineCtx(context.Background(), q)
+func summarizeRanked(r explore.RankedResult) Summary {
+	return Summary{
+		Nodes: r.Nodes, Edges: r.Edges,
+		PrunedTime: r.PrunedTime, PrunedAvail: r.PrunedAvail,
+		Paths: int64(len(r.Paths)), GoalPaths: int64(len(r.Paths)),
+		Elapsed: r.Elapsed,
+		Stopped: r.Stopped, Truncated: r.Truncated,
+	}
 }
 
-// DeadlineCtx is Deadline under a context: cancellation, the context
-// deadline, or any Query.Budget bound ends the run with the partial graph
-// built so far, Summary.Stopped naming the cause, and a nil error.
-func (n *Navigator) DeadlineCtx(ctx context.Context, q Query) (*Graph, Summary, error) {
-	start, end, opt, err := n.compile(q)
+// Count counts a deadline- or goal-driven query's paths without
+// materialising the graph (constant memory; use it for Table-2-scale
+// periods). Counting needs no per-path identity, so unless Query.Substrate
+// forces the tree walk the count runs on the interned-status DAG — cost
+// scales with distinct statuses, not paths, and the tallies are
+// identical; both pruning strategies remain admissible on the DAG (they
+// depend only on the status, never the path).
+//
+// With Query.Horizon > 0 (goal queries only) one run counts goal paths
+// for every deadline in [End, End+Horizon] and fills
+// Summary.GoalPathsAt: a cohort runner probing "how many semesters late
+// does this member graduate?" pays one counting run instead of
+// Horizon+1. That run always uses the DAG; Query.Substrate does not
+// apply.
+//
+// Cancellation, the context deadline, or any Query.Budget bound ends a
+// run with partial tallies, Summary.Stopped naming the cause, and a nil
+// error; the same holds for every terminal operation.
+func (n *Navigator) Count(ctx context.Context, q Query) (Summary, error) {
+	p, err := n.compile(q, opCount)
+	if err != nil {
+		return Summary{}, err
+	}
+	if p.horizon > 0 {
+		mr, err := explore.GoalCountMultiCtx(ctx, n.cat, p.start, p.end, p.horizon, p.goal, n.pruners(p), p.opt)
+		sum := summarize(mr.Result)
+		sum.GoalPathsAt = mr.GoalPathsAt
+		return sum, err
+	}
+	if p.opt.Substrate == explore.SubstrateAuto {
+		p.opt.Substrate = explore.SubstrateDAG
+	}
+	var res explore.Result
+	if p.goal == nil {
+		res, err = explore.DeadlineCountCtx(ctx, n.cat, p.start, p.end, p.opt)
+	} else {
+		res, err = explore.GoalCountCtx(ctx, n.cat, p.start, p.end, p.goal, n.pruners(p), p.opt)
+	}
+	return summarize(res), err
+}
+
+// Collect materialises a deadline-driven (Algorithm 1) or goal-driven
+// (§4.2, with the paper's pruning unless Query.NoPruning) learning
+// graph. A stopped run returns the partial graph built so far.
+func (n *Navigator) Collect(ctx context.Context, q Query) (*Graph, Summary, error) {
+	p, err := n.compile(q, opCollect)
 	if err != nil {
 		return nil, Summary{}, err
 	}
-	res, err := explore.DeadlineCtx(ctx, n.cat, start, end, opt)
+	var res explore.Result
+	if p.goal == nil {
+		res, err = explore.DeadlineCtx(ctx, n.cat, p.start, p.end, p.opt)
+	} else {
+		res, err = explore.GoalCtx(ctx, n.cat, p.start, p.end, p.goal, n.pruners(p), p.opt)
+	}
 	if err != nil {
 		return nil, summarize(res), err
 	}
 	return &Graph{cat: n.cat, g: res.Graph}, summarize(res), nil
 }
 
-// DeadlineCount counts deadline-driven paths without materialising the
-// graph (constant memory; use for Table-2-scale periods).
-func (n *Navigator) DeadlineCount(q Query) (Summary, error) {
-	return n.DeadlineCountCtx(context.Background(), q)
+// positional returns q with the goal, ranking and k that the positional
+// wrappers (GoalPathsCtx, GoalPathsCountCtx, TopKCtx,
+// CompareSelectionsCtx) take as arguments.
+func (q Query) positional(g Goal, ranking string, k int) Query {
+	q.Goal, q.Ranking, q.K = g, ranking, k
+	return q
 }
 
-// DeadlineCountCtx is DeadlineCount under a context (see DeadlineCtx).
-// Counting needs no per-path identity, so unless Query.Substrate forces
-// the tree walk the count runs on the interned-status DAG — cost scales
-// with distinct statuses, not paths, and the tallies are identical.
-func (n *Navigator) DeadlineCountCtx(ctx context.Context, q Query) (Summary, error) {
-	start, end, opt, err := n.compile(q)
-	if err != nil {
-		return Summary{}, err
-	}
-	opt.Substrate = countSubstrate(opt.Substrate)
-	res, err := explore.DeadlineCountCtx(ctx, n.cat, start, end, opt)
-	return summarize(res), err
-}
-
-// countSubstrate resolves SubstrateAuto for counting entry points: counts
-// run on the DAG unless the caller forced the tree walk.
-func countSubstrate(s explore.Substrate) explore.Substrate {
-	if s == explore.SubstrateAuto {
-		return explore.SubstrateDAG
-	}
-	return s
-}
-
-// GoalPaths materialises the goal-driven learning graph (§4.2) with the
-// paper's pruning strategies (unless Query.NoPruning).
-func (n *Navigator) GoalPaths(q Query, g Goal) (*Graph, Summary, error) {
-	return n.GoalPathsCtx(context.Background(), q, g)
-}
-
-// GoalPathsCtx is GoalPaths under a context (see DeadlineCtx for the
-// cancellation contract).
+// GoalPathsCtx is Collect with the goal passed positionally.
 func (n *Navigator) GoalPathsCtx(ctx context.Context, q Query, g Goal) (*Graph, Summary, error) {
-	start, end, opt, err := n.compile(q)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	res, err := explore.GoalCtx(ctx, n.cat, start, end, g.inner, n.pruners(q, g), opt)
-	if err != nil {
-		return nil, summarize(res), err
-	}
-	return &Graph{cat: n.cat, g: res.Graph}, summarize(res), nil
+	return n.Collect(ctx, q.positional(g, "", 0))
 }
 
-// GoalPathsCount counts goal-driven paths without materialising the graph.
-func (n *Navigator) GoalPathsCount(q Query, g Goal) (Summary, error) {
-	return n.GoalPathsCountCtx(context.Background(), q, g)
-}
-
-// GoalPathsCountCtx is GoalPathsCount under a context (see DeadlineCtx).
-// Like DeadlineCountCtx, the count is DAG-accelerated unless
-// Query.Substrate forces the tree walk; both pruning strategies remain
-// admissible on the DAG (they depend only on the status, never the path).
+// GoalPathsCountCtx is Count with the goal passed positionally.
 func (n *Navigator) GoalPathsCountCtx(ctx context.Context, q Query, g Goal) (Summary, error) {
-	start, end, opt, err := n.compile(q)
-	if err != nil {
-		return Summary{}, err
-	}
-	opt.Substrate = countSubstrate(opt.Substrate)
-	res, err := explore.GoalCountCtx(ctx, n.cat, start, end, g.inner, n.pruners(q, g), opt)
-	return summarize(res), err
-}
-
-// GoalPathsCountHorizons counts goal paths for every deadline in
-// [end, end+horizon] — end from the query, horizon extra semesters — in
-// ONE run: the returned slice has horizon+1 entries, entry i the
-// GoalPaths total the same query with deadline end+i would report. A
-// cohort runner probing "how many semesters late does this member
-// graduate?" pays one counting run instead of horizon+1. The Summary is
-// the run's (its Paths/GoalPaths are relative to end+horizon). It always
-// runs on the DAG substrate; Query.Substrate does not apply.
-func (n *Navigator) GoalPathsCountHorizons(q Query, g Goal, horizon int) ([]int64, Summary, error) {
-	return n.GoalPathsCountHorizonsCtx(context.Background(), q, g, horizon)
-}
-
-// GoalPathsCountHorizonsCtx is GoalPathsCountHorizons under a context
-// (see DeadlineCtx).
-func (n *Navigator) GoalPathsCountHorizonsCtx(ctx context.Context, q Query, g Goal, horizon int) ([]int64, Summary, error) {
-	start, end, opt, err := n.compile(q)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	mr, err := explore.GoalCountMultiCtx(ctx, n.cat, start, end, horizon, g.inner, n.pruners(q, g), opt)
-	return mr.GoalPathsAt, summarize(mr.Result), err
+	return n.Count(ctx, q.positional(g, "", 0))
 }
 
 // SharedCounts is one SharedCounter query's answer; see
@@ -676,24 +779,17 @@ type SharedCounter struct {
 	inner *explore.SharedCounter
 }
 
-// NewSharedCounter builds a shared counter from a query template — its
-// End and option/constraint fields pin the variant; Start and Completed
-// are ignored (each Counts call brings its own). horizon extends the
-// answered deadlines to [end, end+horizon]; maxStatuses bounds interned
-// statuses (0 = default).
-func (n *Navigator) NewSharedCounter(q Query, g Goal, horizon int, maxStatuses int64) (*SharedCounter, error) {
-	if q.End == "" {
-		return nil, fmt.Errorf("coursenav: empty end term: a shared counter needs a deadline semester, e.g. \"Fall 2015\"")
-	}
-	end, err := term.Parse(term.TwoSeason, q.End)
-	if err != nil {
-		return nil, fmt.Errorf("coursenav: end (deadline) term: %v", err)
-	}
-	opt, err := n.compileOptions(q)
+// NewSharedCounter builds a shared counter from a goal query template —
+// its End, Goal and option/constraint fields pin the variant; Start and
+// Completed are ignored (each Counts call brings its own). Query.Horizon
+// extends the answered deadlines to [End, End+Horizon]; maxStatuses
+// bounds interned statuses (0 = default).
+func (n *Navigator) NewSharedCounter(q Query, maxStatuses int64) (*SharedCounter, error) {
+	p, err := n.compileTemplate(q, opCounter)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := explore.NewSharedCounter(n.cat, end, horizon, g.inner, n.pruners(q, g), opt, maxStatuses)
+	inner, err := explore.NewSharedCounter(n.cat, p.end, p.horizon, p.goal, n.pruners(p), p.opt, maxStatuses)
 	if err != nil {
 		return nil, err
 	}
@@ -719,44 +815,31 @@ func (c *SharedCounter) Counts(ctx context.Context, completed []string, start st
 // Stats snapshots the counter's lifetime tallies.
 func (c *SharedCounter) Stats() SharedCounterStats { return c.inner.Stats() }
 
-// Rankings names the ranking functions TopK accepts.
+// Rankings names the ranking functions a ranked query accepts.
 func Rankings() []string { return []string{"time", "workload", "reliability"} }
 
-// TopK returns the k best goal paths under the named ranking function
-// ("time", "workload", "reliability"), best first (§4.3). Reliability
-// requires UseSyntheticHistory (or a released schedule covering the whole
-// window). Fewer than k paths are returned when fewer exist.
-func (n *Navigator) TopK(q Query, g Goal, ranking string, k int) ([]Path, Summary, error) {
-	return n.TopKCtx(context.Background(), q, g, ranking, k)
+// Weight pairs a ranking-function name with its weight in
+// Query.Weights.
+type Weight struct {
+	Ranking string
+	Weight  float64
 }
 
-// TopKCtx is TopK under a context: a cancelled or over-budget search
-// returns the best paths found so far (still rank-ordered and exact, by
-// best-first emission order) with Summary.Stopped naming the cause.
-func (n *Navigator) TopKCtx(ctx context.Context, q Query, g Goal, ranking string, k int) ([]Path, Summary, error) {
-	ranker, err := rank.ByName(ranking, n.cat.Workloads(), n.probFn())
+// Ranked returns a ranked query's K best goal paths, best first (§4.3);
+// fewer when fewer exist. A cancelled or over-budget search returns the
+// best paths found so far (still rank-ordered and exact, by best-first
+// emission order) with Summary.Stopped naming the cause. Top-k search
+// runs best-first over the tree, so Substrate "dag" is rejected.
+func (n *Navigator) Ranked(ctx context.Context, q Query) ([]Path, Summary, error) {
+	p, err := n.compile(q, opRanked)
 	if err != nil {
 		return nil, Summary{}, err
 	}
-	return n.topK(ctx, q, g, ranker, k)
-}
-
-func (n *Navigator) topK(ctx context.Context, q Query, g Goal, ranker rank.Ranker, k int) ([]Path, Summary, error) {
-	start, end, opt, err := n.compile(q)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	if opt.Substrate == explore.SubstrateDAG {
+	if p.opt.Substrate == explore.SubstrateDAG {
 		return nil, Summary{}, fmt.Errorf("coursenav: top-k search runs best-first over the tree; substrate \"dag\" does not apply")
 	}
-	res, err := explore.RankedCtx(ctx, n.cat, start, end, g.inner, ranker, k, n.pruners(q, g), opt)
-	sum := Summary{
-		Nodes: res.Nodes, Edges: res.Edges,
-		PrunedTime: res.PrunedTime, PrunedAvail: res.PrunedAvail,
-		Paths: int64(len(res.Paths)), GoalPaths: int64(len(res.Paths)),
-		Elapsed: res.Elapsed,
-		Stopped: res.Stopped, Truncated: res.Truncated,
-	}
+	res, err := explore.RankedCtx(ctx, n.cat, p.start, p.end, p.goal, p.ranker, p.k, n.pruners(p), p.opt)
+	sum := summarizeRanked(res)
 	if err != nil {
 		return nil, sum, err
 	}
@@ -765,6 +848,11 @@ func (n *Navigator) topK(ctx context.Context, q Query, g Goal, ranker rank.Ranke
 		out[i] = newPath(n.cat, res.Graph, rp)
 	}
 	return out, sum, nil
+}
+
+// TopKCtx is Ranked with the goal, ranking and k passed positionally.
+func (n *Navigator) TopKCtx(ctx context.Context, q Query, g Goal, ranking string, k int) ([]Path, Summary, error) {
+	return n.Ranked(ctx, q.positional(g, ranking, k))
 }
 
 // probFn returns the configured reliability estimator, or one that
@@ -780,40 +868,6 @@ func (n *Navigator) probFn() rank.OfferingProb {
 		}
 		return 0
 	}
-}
-
-// Weight pairs a ranking-function name with its weight for TopKWeighted.
-type Weight struct {
-	Ranking string
-	Weight  float64
-}
-
-// TopKWeighted is TopK under a linear combination of ranking functions
-// (the paper's §6 "more complex ranking functions"): cost =
-// Σ weightᵢ·costᵢ on each ranking's native scale. Lemma 2's top-k
-// guarantee carries over (see rank.Weighted).
-func (n *Navigator) TopKWeighted(q Query, g Goal, weights []Weight, k int) ([]Path, Summary, error) {
-	return n.TopKWeightedCtx(context.Background(), q, g, weights, k)
-}
-
-// TopKWeightedCtx is TopKWeighted under a context (see TopKCtx).
-func (n *Navigator) TopKWeightedCtx(ctx context.Context, q Query, g Goal, weights []Weight, k int) ([]Path, Summary, error) {
-	if len(weights) == 0 {
-		return nil, Summary{}, fmt.Errorf("coursenav: TopKWeighted needs at least one weight")
-	}
-	comps := make([]rank.Component, len(weights))
-	for i, w := range weights {
-		r, err := rank.ByName(w.Ranking, n.cat.Workloads(), n.probFn())
-		if err != nil {
-			return nil, Summary{}, err
-		}
-		comps[i] = rank.Component{Ranker: r, Weight: w.Weight}
-	}
-	ranker, err := rank.NewWeighted(comps...)
-	if err != nil {
-		return nil, Summary{}, err
-	}
-	return n.topK(ctx, q, g, ranker, k)
 }
 
 // FeasibleNow returns the student's current option set Y: courses offered
@@ -873,7 +927,7 @@ func (n *Navigator) ValidatePlans(r io.Reader, maxPerTerm int, goal Goal) ([]Pla
 }
 
 // SelectionImpact scores one candidate selection for the student's
-// current semester (see CompareSelections).
+// current semester (see WhatIf).
 type SelectionImpact struct {
 	// Courses is the candidate selection.
 	Courses []string `json:"courses"`
@@ -885,37 +939,40 @@ type SelectionImpact struct {
 	NextOptions int `json:"nextOptions"`
 }
 
-// CompareSelections answers the paper's motivating what-if question
-// (§1): for every selection the student could make in the Start
-// semester, how many paths to the goal remain? Results are sorted best
-// first (most goal paths, then most next-semester options, then the
-// smaller selection).
-func (n *Navigator) CompareSelections(q Query, g Goal) ([]SelectionImpact, error) {
-	out, _, err := n.CompareSelectionsCtx(context.Background(), q, g)
-	return out, err
+func (n *Navigator) impact(im explore.SelectionImpact) SelectionImpact {
+	return SelectionImpact{
+		Courses:     n.cat.IDs(im.Selection),
+		GoalPaths:   im.GoalPaths,
+		Paths:       im.Paths,
+		NextOptions: im.NextOptions,
+	}
 }
 
-// CompareSelectionsCtx is CompareSelections under a context. On
-// cancellation or budget exhaustion it returns the candidates fully
-// scored before the stop together with the stop reason ("canceled",
-// "deadline", …); the reason is empty for a complete comparison.
-func (n *Navigator) CompareSelectionsCtx(ctx context.Context, q Query, g Goal) ([]SelectionImpact, string, error) {
-	start, end, opt, err := n.compile(q)
+// WhatIf answers the paper's motivating what-if question (§1) for a goal
+// query: for every selection the student could make in the Start
+// semester, how many paths to the goal remain? Results are sorted best
+// first (most goal paths, then most next-semester options, then the
+// smaller selection). On cancellation or budget exhaustion — one budget
+// spans all candidates — it returns the candidates fully scored before
+// the stop together with the stop reason ("canceled", "deadline", …);
+// the reason is empty for a complete comparison.
+func (n *Navigator) WhatIf(ctx context.Context, q Query) ([]SelectionImpact, string, error) {
+	p, err := n.compile(q, opWhatIf)
 	if err != nil {
 		return nil, "", err
 	}
-	impacts, stopped, err := explore.CompareSelectionsCtx(ctx, n.cat, start, end, g.inner, n.pruners(q, g), opt)
+	impacts, stopped, err := explore.CompareSelectionsCtx(ctx, n.cat, p.start, p.end, p.goal, n.pruners(p), p.opt)
 	if err != nil {
 		return nil, stopped, err
 	}
 	out := make([]SelectionImpact, len(impacts))
-	for i, imp := range impacts {
-		out[i] = SelectionImpact{
-			Courses:     n.cat.IDs(imp.Selection),
-			GoalPaths:   imp.GoalPaths,
-			Paths:       imp.Paths,
-			NextOptions: imp.NextOptions,
-		}
+	for i, im := range impacts {
+		out[i] = n.impact(im)
 	}
 	return out, stopped, nil
+}
+
+// CompareSelectionsCtx is WhatIf with the goal passed positionally.
+func (n *Navigator) CompareSelectionsCtx(ctx context.Context, q Query, g Goal) ([]SelectionImpact, string, error) {
+	return n.WhatIf(ctx, q.positional(g, "", 0))
 }

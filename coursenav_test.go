@@ -2,6 +2,9 @@ package coursenav
 
 import (
 	"bytes"
+	"context"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -120,8 +123,9 @@ func TestGoalConstructors(t *testing.T) {
 
 func TestDeadlineEndToEnd(t *testing.T) {
 	nav, _ := Brandeis()
+	ctx := context.Background()
 	q := Query{Start: "Spring 2014", End: "Fall 2015", MaxPerTerm: 2}
-	g, sum, err := nav.Deadline(q)
+	g, sum, err := nav.Collect(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +137,7 @@ func TestDeadlineEndToEnd(t *testing.T) {
 		t.Errorf("graph stats %+v disagree with summary %+v", st, sum)
 	}
 	// Counting mode agrees.
-	sum2, err := nav.DeadlineCount(q)
+	sum2, err := nav.Count(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +159,7 @@ func TestDeadlineEndToEnd(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	nav, major := Brandeis()
+	ctx := context.Background()
 	bad := []Query{
 		{Start: "nope", End: "Fall 2015"},
 		{Start: "Fall 2013", End: "nope"},
@@ -162,11 +167,64 @@ func TestQueryErrors(t *testing.T) {
 		{Start: "Fall 2015", End: "Fall 2013"},
 	}
 	for i, q := range bad {
-		if _, _, err := nav.Deadline(q); err == nil {
-			t.Errorf("bad query %d accepted by Deadline", i)
+		if _, _, err := nav.Collect(ctx, q); err == nil {
+			t.Errorf("bad query %d accepted by Collect", i)
 		}
-		if _, err := nav.GoalPathsCount(q, major); err == nil {
-			t.Errorf("bad query %d accepted by GoalPathsCount", i)
+		q.Goal = major
+		if _, err := nav.Count(ctx, q); err == nil {
+			t.Errorf("bad query %d accepted by goal Count", i)
+		}
+	}
+
+	// Invalid combinations of the algorithm-selecting fields, each
+	// rejected by compile before any engine work (the Summary stays zero).
+	goalQ := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
+	with := func(q Query, edit func(*Query)) Query { edit(&q); return q }
+	ranked := with(goalQ, func(q *Query) { q.Ranking, q.K = "time", 3 })
+	ops := map[string]func(Query) (Summary, error){
+		"Count": func(q Query) (Summary, error) { return nav.Count(ctx, q) },
+		"Collect": func(q Query) (Summary, error) {
+			_, sum, err := nav.Collect(ctx, q)
+			return sum, err
+		},
+		"Ranked": func(q Query) (Summary, error) {
+			_, sum, err := nav.Ranked(ctx, q)
+			return sum, err
+		},
+		"WhatIf": func(q Query) (Summary, error) {
+			_, _, err := nav.WhatIf(ctx, q)
+			return Summary{}, err
+		},
+		"NewSharedCounter": func(q Query) (Summary, error) {
+			_, err := nav.NewSharedCounter(q, 0)
+			return Summary{}, err
+		},
+	}
+	combos := []struct {
+		name, op string
+		q        Query
+	}{
+		{"ranked without a goal", "Ranked", with(ranked, func(q *Query) { q.Goal = Goal{} })},
+		{"Ranking and Weights both set", "Ranked", with(ranked, func(q *Query) { q.Weights = []Weight{{Ranking: "workload", Weight: 1}} })},
+		{"negative K", "Ranked", with(ranked, func(q *Query) { q.K = -1 })},
+		{"Ranking without K", "Ranked", with(ranked, func(q *Query) { q.K = 0 })},
+		{"Ranked with K == 0", "Ranked", goalQ},
+		{"Count on a ranked query", "Count", ranked},
+		{"Collect on a ranked query", "Collect", ranked},
+		{"WhatIf on a ranked query", "WhatIf", ranked},
+		{"shared counter on a ranked query", "NewSharedCounter", ranked},
+		{"WhatIf without a goal", "WhatIf", with(goalQ, func(q *Query) { q.Goal = Goal{} })},
+		{"negative Horizon", "Count", with(goalQ, func(q *Query) { q.Horizon = -1 })},
+		{"Horizon on Collect", "Collect", with(goalQ, func(q *Query) { q.Horizon = 2 })},
+		{"Horizon without a goal", "Count", with(goalQ, func(q *Query) { q.Goal, q.Horizon = Goal{}, 2 })},
+	}
+	for _, c := range combos {
+		sum, err := ops[c.op](c.q)
+		if err == nil {
+			t.Errorf("%s: accepted by %s", c.name, c.op)
+		}
+		if sum.Nodes != 0 || sum.Elapsed != 0 {
+			t.Errorf("%s: engine ran before the error (%+v)", c.name, sum)
 		}
 	}
 }
@@ -184,7 +242,8 @@ func TestGoalPathsWithCompletedCourses(t *testing.T) {
 		End:        "Fall 2015",
 		MaxPerTerm: 3,
 	}
-	g, sum, err := nav.GoalPaths(q, goal)
+	q.Goal = goal
+	g, sum, err := nav.Collect(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +266,7 @@ func TestGoalPathsWithCompletedCourses(t *testing.T) {
 	// Pruning accounting flows through.
 	qNoPrune := q
 	qNoPrune.NoPruning = true
-	_, sum2, err := nav.GoalPaths(qNoPrune, goal)
+	_, sum2, err := nav.Collect(context.Background(), qNoPrune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +286,11 @@ func TestTopKAllRankings(t *testing.T) {
 	if err := nav.UseSyntheticHistory(4, 1); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	ctx := context.Background()
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major, K: 5}
 	for _, ranking := range Rankings() {
-		paths, sum, err := nav.TopK(q, major, ranking, 5)
+		q.Ranking = ranking
+		paths, sum, err := nav.Ranked(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: %v", ranking, err)
 		}
@@ -249,10 +310,12 @@ func TestTopKAllRankings(t *testing.T) {
 			t.Errorf("time best = %g semesters, want 4", paths[0].Value)
 		}
 	}
-	if _, _, err := nav.TopK(q, major, "magic", 5); err == nil {
+	q.Ranking = "magic"
+	if _, _, err := nav.Ranked(ctx, q); err == nil {
 		t.Error("unknown ranking accepted")
 	}
-	if _, _, err := nav.TopK(q, major, "time", 0); err == nil {
+	q.Ranking, q.K = "time", 0
+	if _, _, err := nav.Ranked(ctx, q); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -262,8 +325,8 @@ func TestTopKReliabilityWithoutHistory(t *testing.T) {
 	// schedule (probability 1), so reliability still works and all paths
 	// get value 1.
 	nav, major := Brandeis()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
-	paths, _, err := nav.TopK(q, major, "reliability", 3)
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major, Ranking: "reliability", K: 3}
+	paths, _, err := nav.Ranked(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +382,9 @@ func TestProjectBeyondRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exploration may now cross the old release boundary.
-	q := Query{Start: "Spring 2014", End: "Fall 2016", MaxPerTerm: 3}
-	paths, _, err := nav.TopK(q, major, "reliability", 10)
+	ctx := context.Background()
+	q := Query{Start: "Spring 2014", End: "Fall 2016", MaxPerTerm: 3, Goal: major, Ranking: "reliability", K: 10}
+	paths, _, err := nav.Ranked(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +409,8 @@ func TestProjectBeyondRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2.Completed = []string{"COSI 11A"}
-	paths2, _, err := nav.TopK(q2, intro, "reliability", 5)
+	q2.Goal, q2.Ranking, q2.K = intro, "reliability", 5
+	paths2, _, err := nav.Ranked(ctx, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,12 +437,13 @@ func TestProjectBeyondRelease(t *testing.T) {
 
 func TestQueryConstraints(t *testing.T) {
 	nav, major := Brandeis()
-	base := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	ctx := context.Background()
+	base := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
 
 	// Avoid: no path elects the avoided course, and the path set shrinks.
 	withAvoid := base
 	withAvoid.Avoid = []string{"COSI 2A"}
-	g, sum, err := nav.GoalPaths(withAvoid, major)
+	g, sum, err := nav.Collect(ctx, withAvoid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +452,7 @@ func TestQueryConstraints(t *testing.T) {
 			t.Fatalf("avoided course on path %s", p)
 		}
 	}
-	full, err := nav.GoalPathsCount(base, major)
+	full, err := nav.Count(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,14 +461,14 @@ func TestQueryConstraints(t *testing.T) {
 	}
 	badAvoid := base
 	badAvoid.Avoid = []string{"NOPE"}
-	if _, _, err := nav.GoalPaths(badAvoid, major); err == nil {
+	if _, _, err := nav.Collect(ctx, badAvoid); err == nil {
 		t.Error("unknown avoid course accepted")
 	}
 
 	// MaxTermWorkload: semesters stay under the ceiling.
 	capped := base
 	capped.MaxTermWorkload = 25
-	g2, _, err := nav.GoalPaths(capped, major)
+	g2, _, err := nav.Collect(ctx, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +491,7 @@ func TestQueryConstraints(t *testing.T) {
 	// MinPerTerm: no 1-course semesters on any path.
 	floored := base
 	floored.MinPerTerm = 2
-	g3, _, err := nav.Deadline(Query{Start: "Spring 2015", End: "Fall 2015", MaxPerTerm: 3, MinPerTerm: 2})
+	g3, _, err := nav.Collect(ctx, Query{Start: "Spring 2015", End: "Fall 2015", MaxPerTerm: 3, MinPerTerm: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +507,10 @@ func TestQueryConstraints(t *testing.T) {
 
 func TestTopKWeightedAndThreshold(t *testing.T) {
 	nav, major := Brandeis()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
-	paths, _, err := nav.TopKWeighted(q, major,
-		[]Weight{{Ranking: "time", Weight: 100}, {Ranking: "workload", Weight: 1}}, 5)
+	ctx := context.Background()
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major, K: 5,
+		Weights: []Weight{{Ranking: "time", Weight: 100}, {Ranking: "workload", Weight: 1}}}
+	paths, _, err := nav.Ranked(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,9 +524,8 @@ func TestTopKWeightedAndThreshold(t *testing.T) {
 	}
 	// Threshold: cap at the best cost; only ties remain.
 	capped := q
-	capped.MaxPathCost = paths[0].Cost
-	paths2, _, err := nav.TopKWeighted(capped, major,
-		[]Weight{{Ranking: "time", Weight: 100}, {Ranking: "workload", Weight: 1}}, 100)
+	capped.MaxPathCost, capped.K = paths[0].Cost, 100
+	paths2, _, err := nav.Ranked(ctx, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,14 +538,12 @@ func TestTopKWeightedAndThreshold(t *testing.T) {
 		}
 	}
 	// Validation.
-	if _, _, err := nav.TopKWeighted(q, major, nil, 5); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, _, err := nav.TopKWeighted(q, major, []Weight{{Ranking: "magic", Weight: 1}}, 5); err == nil {
-		t.Error("unknown component accepted")
-	}
-	if _, _, err := nav.TopKWeighted(q, major, []Weight{{Ranking: "time", Weight: -1}}, 5); err == nil {
-		t.Error("negative weight accepted")
+	for _, w := range [][]Weight{{{Ranking: "magic", Weight: 1}}, {{Ranking: "time", Weight: -1}}} {
+		bad := q
+		bad.Weights = w
+		if _, _, err := nav.Ranked(ctx, bad); err == nil {
+			t.Errorf("weights %v accepted", w)
+		}
 	}
 }
 
@@ -528,12 +592,14 @@ func TestAuditFacade(t *testing.T) {
 
 func TestCompareSelectionsFacade(t *testing.T) {
 	nav, major := Brandeis()
-	impacts, err := nav.CompareSelections(Query{
+	ctx := context.Background()
+	impacts, _, err := nav.WhatIf(ctx, Query{
 		Completed:  []string{"COSI 11A", "COSI 29A"},
 		Start:      "Spring 2014",
 		End:        "Spring 2016",
 		MaxPerTerm: 3,
-	}, major)
+		Goal:       major,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +614,40 @@ func TestCompareSelectionsFacade(t *testing.T) {
 	if best.GoalPaths != 35539 {
 		t.Errorf("best GoalPaths = %d, want 35539 (whatif example regression)", best.GoalPaths)
 	}
-	if _, err := nav.CompareSelections(Query{Start: "x", End: "y"}, major); err == nil {
+	if _, _, err := nav.WhatIf(ctx, Query{Start: "x", End: "y", Goal: major}); err == nil {
 		t.Error("bad query accepted")
 	}
+}
+
+// TestNavigatorSurfaceMatchesDocs: the exported method set of *Navigator
+// equals the fenced list in DESIGN.md §3, in both directions, so a new
+// façade entry point lands with its documentation or not at all.
+func TestNavigatorSurfaceMatchesDocs(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(raw), "\n## 3. ")
+	sec, _, _ = strings.Cut(sec, "\n## 4. ")
+	_, block, ok := strings.Cut(sec, "```navigator-methods\n")
+	if !ok {
+		t.Fatal("DESIGN.md §3 has no ```navigator-methods block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	documented := map[string]bool{}
+	for _, name := range strings.Fields(block) {
+		documented[name] = true
+	}
+	typ := reflect.TypeOf(&Navigator{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		if !documented[name] {
+			t.Errorf("exported method Navigator.%s is missing from DESIGN.md §3", name)
+		}
+		delete(documented, name)
+	}
+	for name := range documented {
+		t.Errorf("DESIGN.md §3 lists Navigator.%s, which is not an exported method", name)
+	}
+	t.Logf("%d exported methods checked", typ.NumMethod())
 }

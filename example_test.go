@@ -19,20 +19,21 @@ func ExampleNavigator_FeasibleNow() {
 	// Output: COSI 2A, COSI 12B, COSI 21A, COSI 33B
 }
 
-func ExampleNavigator_GoalPathsCount() {
+func ExampleNavigator_Count() {
 	nav, major := coursenav.Brandeis()
-	sum, _ := nav.GoalPathsCount(coursenav.Query{
-		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3,
-	}, major)
+	sum, _ := nav.Count(context.Background(), coursenav.Query{
+		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major,
+	})
 	fmt.Printf("%d generated paths, %d reach the CS major\n", sum.Paths, sum.GoalPaths)
 	// Output: 1679 generated paths, 117 reach the CS major
 }
 
-func ExampleNavigator_TopK() {
+func ExampleNavigator_Ranked() {
 	nav, major := coursenav.Brandeis()
-	paths, _, _ := nav.TopK(coursenav.Query{
+	paths, _, _ := nav.Ranked(context.Background(), coursenav.Query{
 		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3,
-	}, major, "time", 1)
+		Goal: major, Ranking: "time", K: 1,
+	})
 	fmt.Printf("shortest plan takes %.0f semesters:\n%s\n", paths[0].Value, paths[0])
 	// Output:
 	// shortest plan takes 4 semesters:
@@ -52,14 +53,15 @@ func ExampleNavigator_Audit() {
 	// 9 slots remaining
 }
 
-func ExampleNavigator_CompareSelections() {
+func ExampleNavigator_WhatIf() {
 	nav, major := coursenav.Brandeis()
-	impacts, _ := nav.CompareSelections(coursenav.Query{
+	impacts, _, _ := nav.WhatIf(context.Background(), coursenav.Query{
 		Completed:  []string{"COSI 11A", "COSI 29A"},
 		Start:      "Spring 2014",
 		End:        "Spring 2016",
 		MaxPerTerm: 3,
-	}, major)
+		Goal:       major,
+	})
 	best := impacts[0]
 	fmt.Printf("best move: {%s} keeps %d paths to the major\n",
 		strings.Join(best.Courses, ", "), best.GoalPaths)
@@ -80,14 +82,14 @@ Spring 2015: COSI 21B, COSI 31A, COSI 119A
 	// Output: ambitious: valid=true reaches major=true
 }
 
-func ExampleNavigator_GoalStream() {
+func ExampleNavigator_Stream() {
 	nav, major := coursenav.Brandeis()
 	// Stream paths as the engine completes them — no graph is built, so
 	// memory stays proportional to the search depth. ErrStopStream ends
 	// the run cleanly after the first goal path.
-	sum, _ := nav.GoalStream(context.Background(), coursenav.Query{
-		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3,
-	}, major, func(p coursenav.StreamedPath) error {
+	sum, _ := nav.Stream(context.Background(), coursenav.Query{
+		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major,
+	}, func(p coursenav.StreamedPath) error {
 		if !p.Goal {
 			return nil
 		}
@@ -100,14 +102,14 @@ func ExampleNavigator_GoalStream() {
 	// stopped=sink after 37 paths
 }
 
-func ExampleNavigator_GoalPathSeq() {
+func ExampleNavigator_Seq() {
 	nav, major := coursenav.Brandeis()
-	// The range-over-func form of GoalStream: breaking the loop stops the
+	// The range-over-func form of Stream: breaking the loop stops the
 	// exploration.
 	goalPaths := 0
-	for p, err := range nav.GoalPathSeq(context.Background(), coursenav.Query{
-		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3,
-	}, major) {
+	for p, err := range nav.Seq(context.Background(), coursenav.Query{
+		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major,
+	}) {
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -123,13 +125,14 @@ func ExampleNavigator_GoalPathSeq() {
 	// Output: saw 3 goal paths, then stopped the engine
 }
 
-func ExampleNavigator_TopKPathSeq() {
+func ExampleNavigator_Seq_ranked() {
 	nav, major := coursenav.Brandeis()
 	// Ranked streaming delivers best-first: the first yielded path is the
 	// single best plan, available long before the search completes.
-	for p, err := range nav.TopKPathSeq(context.Background(), coursenav.Query{
+	for p, err := range nav.Seq(context.Background(), coursenav.Query{
 		Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3,
-	}, major, "time", 5) {
+		Goal: major, Ranking: "time", K: 5,
+	}) {
 		if err != nil {
 			fmt.Println("error:", err)
 			break
@@ -143,9 +146,9 @@ func ExampleNavigator_TopKPathSeq() {
 func ExampleNavigator_GoalExpr() {
 	nav, _ := coursenav.Brandeis()
 	goal, _ := nav.GoalExpr("COSI 127B or COSI 101A")
-	sum, _ := nav.GoalPathsCount(coursenav.Query{
-		Start: "Fall 2013", End: "Spring 2015", MaxPerTerm: 2,
-	}, goal)
+	sum, _ := nav.Count(context.Background(), coursenav.Query{
+		Start: "Fall 2013", End: "Spring 2015", MaxPerTerm: 2, Goal: goal,
+	})
 	fmt.Printf("paths to a data-systems course: %d\n", sum.GoalPaths)
 	// Output: paths to a data-systems course: 96
 }

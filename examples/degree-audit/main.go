@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -28,6 +29,7 @@ func main() {
 		Start:      "Fall 2014", // entering the second year
 		End:        "Fall 2015", // wants the major in 3 more semesters
 		MaxPerTerm: 3,
+		Goal:       major,
 	}
 
 	fmt.Printf("completed: %v\n", completed)
@@ -37,7 +39,7 @@ func main() {
 	}
 	fmt.Printf("electable this semester: %v\n\n", opts)
 
-	g, sum, err := nav.GoalPaths(q, major)
+	g, sum, err := nav.Collect(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		if err := nav.ProjectBeyondRelease("Spring 2016", 4, 1, 0.6); err != nil {
 			log.Fatal(err)
 		}
-		g, sum, err = nav.GoalPaths(q, major)
+		g, sum, err = nav.Collect(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,9 +75,9 @@ func main() {
 	}
 
 	// The contrast: how many paths exist vs how many the corpus explores.
-	sum, err := nav.GoalPathsCount(coursenav.Query{
-		Start: start.Label(), End: end.Label(), MaxPerTerm: brandeis.MaxPerTerm,
-	}, major)
+	sum, err := nav.Count(context.Background(), coursenav.Query{
+		Start: start.Label(), End: end.Label(), MaxPerTerm: brandeis.MaxPerTerm, Goal: major,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,9 @@ func main() {
 		Start:      "Fall 2013",
 		End:        "Fall 2015",
 		MaxPerTerm: 3,
+		Goal:       major,
 	}
+	ctx := context.Background()
 
 	// What can they take right now?
 	now, err := nav.FeasibleNow(q.Completed, q.Start)
@@ -33,7 +36,7 @@ func main() {
 	fmt.Printf("electable in %s: %v\n\n", q.Start, now)
 
 	// How many ways are there to reach the major in time?
-	sum, err := nav.GoalPathsCount(q, major)
+	sum, err := nav.Count(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +46,8 @@ func main() {
 		sum.PrunedTime+sum.PrunedAvail, sum.PrunedTime, sum.PrunedAvail, sum.Elapsed)
 
 	// The three shortest plans, via best-first top-k search.
-	paths, _, err := nav.TopK(q, major, "time", 3)
+	q.Ranking, q.K = "time", 3
+	paths, _, err := nav.Ranked(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +57,8 @@ func main() {
 	}
 
 	// The least-workload plan.
-	easy, _, err := nav.TopK(q, major, "workload", 1)
+	q.Ranking, q.K = "workload", 1
+	easy, _, err := nav.Ranked(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

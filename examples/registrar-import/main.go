@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -104,8 +105,9 @@ func main() {
 		Start:      "Fall 2012",
 		End:        "Fall 2015",
 		MaxPerTerm: 2,
+		Goal:       goal,
 	}
-	g, sum, err := nav.GoalPaths(q, goal)
+	g, sum, err := nav.Collect(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	nav, major := coursenav.Brandeis()
-	q := coursenav.Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	q := coursenav.Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
 
 	// 1. Callback streaming: every completed path is delivered the moment
 	// the engine finishes it; no graph is materialised, so memory stays
@@ -28,7 +28,7 @@ func main() {
 	// Returning ErrStopStream ends the run cleanly.
 	fmt.Println("— callback: the first two goal paths —")
 	goalSeen := 0
-	sum, err := nav.GoalStream(context.Background(), q, major, func(p coursenav.StreamedPath) error {
+	sum, err := nav.Stream(context.Background(), q, func(p coursenav.StreamedPath) error {
 		if !p.Goal {
 			return nil
 		}
@@ -47,7 +47,8 @@ func main() {
 	// 2. Iterator streaming: the same engine as a Go 1.23 range-over-func
 	// sequence. Breaking the loop stops the exploration.
 	fmt.Println("— iterator: the single best plan, best-first —")
-	for p, err := range nav.TopKPathSeq(context.Background(), q, major, "time", 5) {
+	q.Ranking, q.K = "time", 5
+	for p, err := range nav.Seq(context.Background(), q) {
 		if err != nil {
 			log.Fatal(err)
 		}

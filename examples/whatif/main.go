@@ -3,7 +3,7 @@
 // introduction asks exactly this: "which course selections increase my
 // future course options and number of possible paths to a CS major?"
 //
-// CompareSelections enumerates every selection the student could make
+// WhatIf enumerates every selection the student could make
 // this semester and counts the goal-driven paths from each resulting
 // enrollment status.
 //
@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -38,7 +39,8 @@ func main() {
 	}
 	fmt.Printf("electable in %s after %v:\n  %s\n\n", q.Start, q.Completed, strings.Join(options, ", "))
 
-	impacts, err := nav.CompareSelections(q, major)
+	q.Goal = major
+	impacts, _, err := nav.WhatIf(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package coursenav_test
 // the same bytes.
 
 import (
+	"context"
 	"os"
 	"sort"
 	"strings"
@@ -116,7 +117,7 @@ func TestLenientImportQuarantinesExactlyTheDefects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := nav.GoalPathsCount(coursenav.Query{Start: "Fall 2012", End: "Fall 2013", MaxPerTerm: 2}, g)
+	sum, err := nav.Count(context.Background(), coursenav.Query{Start: "Fall 2012", End: "Fall 2013", MaxPerTerm: 2, Goal: g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package coursenav_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -69,8 +70,9 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := coursenav.Query{Start: "Fall 2012", End: "Fall 2014", MaxPerTerm: 2}
-	g, sum, err := nav.GoalPaths(q, goal)
+	ctx := context.Background()
+	q := coursenav.Query{Start: "Fall 2012", End: "Fall 2014", MaxPerTerm: 2, Goal: goal}
+	g, sum, err := nav.Collect(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,8 @@ func TestFullPipeline(t *testing.T) {
 	}
 
 	// 3. Ranked search agrees with the cheapest enumerated path.
-	paths, _, err := nav.TopK(q, goal, "time", 1)
+	q.Ranking, q.K = "time", 1
+	paths, _, err := nav.Ranked(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +109,8 @@ func TestFullPipeline(t *testing.T) {
 	if err := nav.ProjectBeyondRelease("Fall 2015", 3, 7, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	qWide := coursenav.Query{Start: "Fall 2014", End: "Fall 2015", MaxPerTerm: 2}
-	rel, _, err := nav.TopK(qWide, goal, "reliability", 3)
+	qWide := coursenav.Query{Start: "Fall 2014", End: "Fall 2015", MaxPerTerm: 2, Goal: goal, Ranking: "reliability", K: 3}
+	rel, _, err := nav.Ranked(ctx, qWide)
 	if err != nil {
 		t.Fatal(err)
 	}

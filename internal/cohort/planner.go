@@ -112,12 +112,13 @@ func (p *NavPlanner) Count(ctx context.Context, m Member, end string, v Variant)
 	if err != nil {
 		return CountResult{}, err
 	}
-	sum, err := nav.GoalPathsCountCtx(ctx, coursenav.Query{
+	sum, err := nav.Count(ctx, coursenav.Query{
 		Completed:  m.Completed,
 		Start:      m.Start,
 		End:        end,
 		MaxPerTerm: p.MaxPerTerm,
-	}, goal)
+		Goal:       goal,
+	})
 	if err != nil {
 		return CountResult{}, err
 	}
@@ -152,16 +153,18 @@ func (p *NavPlanner) CountHorizons(ctx context.Context, m Member, end string, ho
 	if err != nil {
 		return HorizonCounts{}, err
 	}
-	gp, sum, err := nav.GoalPathsCountHorizonsCtx(ctx, coursenav.Query{
+	sum, err := nav.Count(ctx, coursenav.Query{
 		Completed:  m.Completed,
 		Start:      m.Start,
 		End:        end,
 		MaxPerTerm: p.MaxPerTerm,
-	}, goal, horizon)
+		Goal:       goal,
+		Horizon:    horizon,
+	})
 	if err != nil {
 		return HorizonCounts{}, err
 	}
-	c = HorizonCounts{GoalPaths: gp, Stopped: sum.Stopped}
+	c = HorizonCounts{GoalPaths: sum.GoalPathsAt, Stopped: sum.Stopped}
 	if c.Stopped == "" {
 		p.mu.Lock()
 		if p.memoH == nil {
@@ -187,12 +190,13 @@ func (p *NavPlanner) Replan(ctx context.Context, m Member, end string) (Replan, 
 	if err != nil {
 		return Replan{}, err
 	}
-	impacts, stopped, err := p.Scenario.CompareSelectionsCtx(ctx, coursenav.Query{
+	impacts, stopped, err := p.Scenario.WhatIf(ctx, coursenav.Query{
 		Completed:  m.Completed,
 		Start:      m.Start,
 		End:        end,
 		MaxPerTerm: p.MaxPerTerm,
-	}, goal)
+		Goal:       goal,
+	})
 	if err != nil {
 		return Replan{}, err
 	}

@@ -152,9 +152,9 @@ func (p *SharedPlanner) counterFor(v Variant, end string, horizon int) (*coursen
 		goal = g
 	}
 	q := p.Query
-	q.End = end
+	q.End, q.Goal, q.Horizon = end, goal, horizon
 	q.Completed, q.Start = nil, ""
-	c, err := nav.NewSharedCounter(q, goal, horizon, p.MaxStatuses)
+	c, err := nav.NewSharedCounter(q, p.MaxStatuses)
 	if err != nil {
 		return nil, err
 	}

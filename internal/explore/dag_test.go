@@ -490,4 +490,20 @@ func TestDAGWhatIfBudgetPrefix(t *testing.T) {
 			t.Fatalf("candidate %d: budgeted %+v != unbudgeted %+v", i, im, want)
 		}
 	}
+
+	// The tree substrate shares one control across candidates too: the
+	// path budget bounds the delivered candidates' summed tallies, not
+	// each candidate's (Spring 2013 → Fall 2015 holds far more than 4,000
+	// paths over its first few candidates).
+	start = status.New(cat, brandeis.StartForSemesters(5), bitset.New(cat.Len()))
+	topt := Options{MaxPerTerm: brandeis.MaxPerTerm, Substrate: SubstrateTree, Budget: Budget{MaxPaths: 4000}}
+	got, stopped = collect(topt)
+	var sum int64
+	for _, im := range got {
+		sum += im.Paths
+	}
+	if stopped != StopMaxPaths || sum > topt.Budget.MaxPaths {
+		t.Fatalf("tree what-if under MaxPaths %d: %d candidates with %d summed paths, stopped=%q; want ≤ %d paths and %q",
+			topt.Budget.MaxPaths, len(got), sum, stopped, topt.Budget.MaxPaths, StopMaxPaths)
+	}
 }

@@ -84,7 +84,8 @@ func CompareSelectionsCtx(ctx context.Context, cat *catalog.Catalog, start statu
 // on one DAG counting kernel (see whatIfDAG): subtrees common to several
 // candidates are counted once. SubstrateTree counts each candidate with
 // the plain tree walk instead — the independent oracle the kernel is
-// tested against.
+// tested against. On either substrate one control spans the run: the
+// budget bounds all candidates together.
 func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start status.Status, end term.Term, goal degree.Goal, pruners []Pruner, opt Options, fn func(SelectionImpact) error) (string, error) {
 	if goal == nil {
 		return "", fmt.Errorf("explore: CompareSelections requires a goal")
@@ -98,11 +99,16 @@ func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start st
 	if opt.Substrate != SubstrateTree {
 		return whatIfDAG(ctx, cat, start, end, goal, pruners, opt, fn)
 	}
+	if opt.MergeStatuses {
+		return "", ErrMergeTree
+	}
+	// One engine and one control score every candidate, so the budget
+	// bounds the whole comparison (as in whatIfDAG), not each candidate.
 	e := newEngine(cat, end, goal, pruners, opt)
-	ctl := newControl(ctx, opt.Budget)
+	e.ctl = newControl(ctx, opt.Budget)
 	stopped := ""
 	err := e.selections(start, 0, func(w bitset.Set) error {
-		if r := ctl.haltReason(); r != "" {
+		if r := e.ctl.haltReason(); r != "" {
 			stopped = r
 			return errStopRun
 		}
@@ -117,15 +123,15 @@ func CompareSelectionsStream(ctx context.Context, cat *catalog.Catalog, start st
 				impact.Paths = 1
 			}
 		} else {
-			res, err := GoalCountCtx(ctx, cat, child, end, goal, pruners, opt)
+			tally, err := e.walk(child, 0)
 			if err != nil {
 				return err
 			}
-			if res.Stopped != "" {
-				stopped = res.Stopped
+			if r := e.ctl.reason(); r != "" {
+				stopped = r
 				return errStopRun
 			}
-			impact.GoalPaths, impact.Paths = res.GoalPaths, res.Paths
+			impact.Paths, impact.GoalPaths = tally[0], tally[1]
 		}
 		return fn(impact)
 	})

@@ -263,8 +263,8 @@ func New(nav *coursenav.Navigator) *Server {
 		// Explore handlers manage the concurrency quotas themselves (via
 		// serveUnit/runUnit): cache hits and coalesced followers never
 		// occupy an exploration slot.
-		{"POST /explore/deadline", s.handleDeadline},
-		{"POST /explore/goal", s.handleGoal},
+		{"POST /explore/deadline", (&exploreEndpoint{s: s, name: "deadline"}).serve},
+		{"POST /explore/goal", (&exploreEndpoint{s: s, name: "goal", withGoal: true}).serve},
 		{"POST /explore/ranked", s.handleRanked},
 		{"POST /explore/whatif", s.handleWhatIf},
 		// Cohort jobs run each member as an individually admitted unit
@@ -687,7 +687,8 @@ type ExploreRequest struct {
 	K int `json:"k,omitempty"`
 }
 
-// checkExtras rejects fields that do not apply to the handling endpoint.
+// checkExtras rejects fields that do not apply to the handling explore
+// endpoint ("deadline", "goal", "whatif").
 func (req *ExploreRequest) checkExtras(w http.ResponseWriter, endpoint string, wantGoal, wantRanked bool) bool {
 	var extra []string
 	if !wantGoal && req.Goal != nil {
@@ -706,7 +707,7 @@ func (req *ExploreRequest) checkExtras(w http.ResponseWriter, endpoint string, w
 	}
 	if len(extra) > 0 {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest,
-			"field(s) %s do not apply to %s", strings.Join(extra, ", "), endpoint)
+			"field(s) %s do not apply to explore/%s", strings.Join(extra, ", "), endpoint)
 		return false
 	}
 	return true
@@ -730,6 +731,14 @@ func (s *Server) goal(nav *coursenav.Navigator, w http.ResponseWriter, req *Expl
 		return coursenav.Goal{}, false
 	}
 	return g, true
+}
+
+// exploreQuery is the façade query an explore request asks for: its
+// window, constraints and budget (see query), goal, and ranked extras.
+func (s *Server) exploreQuery(req *ExploreRequest, goal coursenav.Goal) coursenav.Query {
+	q := s.query(req.Query, req.Budget)
+	q.Goal, q.Ranking, q.Weights, q.K = goal, req.Ranking, req.Weights, req.K
+	return q
 }
 
 func (s *Server) query(qs QuerySpec, b *BudgetSpec) coursenav.Query {
@@ -876,12 +885,23 @@ func (s *Server) renderExploreBody(w io.Writer, sum coursenav.Summary, g *course
 	return err
 }
 
-func (s *Server) handleDeadline(t *tenantState, w http.ResponseWriter, r *http.Request) {
+// exploreEndpoint serves the deadline and goal endpoints, which differ
+// only in whether the request carries a goal. The unit exec below
+// reaches the server and the flag through e, so it captures no more
+// than one handler's exec did.
+type exploreEndpoint struct {
+	s        *Server
+	name     string // "deadline" or "goal"
+	withGoal bool
+}
+
+func (e *exploreEndpoint) serve(t *tenantState, w http.ResponseWriter, r *http.Request) {
+	s := e.s
 	var req ExploreRequest
 	if !decode(w, r, &req) {
 		return
 	}
-	if !req.checkExtras(w, "explore/deadline", false, false) {
+	if !req.checkExtras(w, e.name, e.withGoal, false) {
 		return
 	}
 	// The generation is read before the navigator snapshot: reload stores
@@ -895,7 +915,14 @@ func (s *Server) handleDeadline(t *tenantState, w http.ResponseWriter, r *http.R
 		if !streamable(w, &req) {
 			return
 		}
-		k := t.unitKey(gen, "deadline", &req)
+		var goal coursenav.Goal
+		if e.withGoal {
+			var ok bool
+			if goal, ok = s.goal(nav, w, &req); !ok {
+				return
+			}
+		}
+		k := t.unitKey(gen, e.name, &req)
 		release, ok := s.admitExplore(t, w, r, k, &req)
 		if !ok {
 			return
@@ -903,87 +930,46 @@ func (s *Server) handleDeadline(t *tenantState, w http.ResponseWriter, r *http.R
 		defer release()
 		var collected *coursenav.Graph
 		sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			g, sum, err := nav.DeadlineStreamCollect(ctx, s.query(req.Query, req.Budget), s.NodeBudget, fn)
+			g, sum, err := nav.StreamCollect(ctx, s.exploreQuery(&req, goal), fn)
 			collected = g
 			return sum, err
 		})
 		if complete && collected != nil {
-			k.put(s.exploreRun(req.Query, sum, collected, sum.Paths))
+			k.put(s.exploreRun(req.Query, sum, collected, exploreTally(sum, e.withGoal)))
 		}
 		return
 	}
-	s.serveUnit(t, w, r, &req, "deadline", gen, func(ctx context.Context) (unitRun, error) {
-		q := s.query(req.Query, req.Budget)
-		if req.Query.CountOnly {
-			sum, err := nav.DeadlineCountCtx(ctx, q)
-			if err != nil {
+	s.serveUnit(t, w, r, &req, e.name, gen, func(ctx context.Context) (unitRun, error) {
+		var goal coursenav.Goal
+		if e.withGoal {
+			var err error
+			if goal, err = reqGoal(nav, &req); err != nil {
 				return unitRun{}, err
 			}
-			return s.exploreRun(req.Query, sum, nil, sum.Paths)
 		}
-		g, sum, err := nav.DeadlineCtx(ctx, q)
+		q := e.s.exploreQuery(&req, goal)
+		var g *coursenav.Graph
+		var sum coursenav.Summary
+		var err error
+		if req.Query.CountOnly {
+			sum, err = nav.Count(ctx, q)
+		} else {
+			g, sum, err = nav.Collect(ctx, q)
+		}
 		if err != nil {
 			return unitRun{}, err
 		}
-		return s.exploreRun(req.Query, sum, g, sum.Paths)
+		return e.s.exploreRun(req.Query, sum, g, exploreTally(sum, e.withGoal))
 	})
 }
 
-func (s *Server) handleGoal(t *tenantState, w http.ResponseWriter, r *http.Request) {
-	var req ExploreRequest
-	if !decode(w, r, &req) {
-		return
+// exploreTally is the path count a deadline (all paths) or goal (goal
+// paths) run reports to usage.
+func exploreTally(sum coursenav.Summary, withGoal bool) int64 {
+	if withGoal {
+		return sum.GoalPaths
 	}
-	if !req.checkExtras(w, "explore/goal", true, false) {
-		return
-	}
-	gen := t.gen()
-	nav := t.navigator()
-	canonicalize(nav, &req)
-	if wantsStream(r) {
-		if !streamable(w, &req) {
-			return
-		}
-		goal, ok := s.goal(nav, w, &req)
-		if !ok {
-			return
-		}
-		k := t.unitKey(gen, "goal", &req)
-		release, okAcq := s.admitExplore(t, w, r, k, &req)
-		if !okAcq {
-			return
-		}
-		defer release()
-		var collected *coursenav.Graph
-		sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			g, sum, err := nav.GoalStreamCollect(ctx, s.query(req.Query, req.Budget), goal, s.NodeBudget, fn)
-			collected = g
-			return sum, err
-		})
-		if complete && collected != nil {
-			k.put(s.exploreRun(req.Query, sum, collected, sum.GoalPaths))
-		}
-		return
-	}
-	s.serveUnit(t, w, r, &req, "goal", gen, func(ctx context.Context) (unitRun, error) {
-		goal, err := reqGoal(nav, &req)
-		if err != nil {
-			return unitRun{}, err
-		}
-		q := s.query(req.Query, req.Budget)
-		if req.Query.CountOnly {
-			sum, err := nav.GoalPathsCountCtx(ctx, q, goal)
-			if err != nil {
-				return unitRun{}, err
-			}
-			return s.exploreRun(req.Query, sum, nil, sum.GoalPaths)
-		}
-		g, sum, err := nav.GoalPathsCtx(ctx, q, goal)
-		if err != nil {
-			return unitRun{}, err
-		}
-		return s.exploreRun(req.Query, sum, g, sum.GoalPaths)
-	})
+	return sum.Paths
 }
 
 type rankedResponse struct {
@@ -994,6 +980,12 @@ type rankedResponse struct {
 func (s *Server) handleRanked(t *tenantState, w http.ResponseWriter, r *http.Request) {
 	var req ExploreRequest
 	if !decode(w, r, &req) {
+		return
+	}
+	// A request without k would be a plain goal query to the façade,
+	// whose Stream answers those too: reject it here.
+	if req.K <= 0 {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "k must be positive, got %d", req.K)
 		return
 	}
 	gen := t.gen()
@@ -1018,17 +1010,13 @@ func (s *Server) handleRanked(t *tenantState, w http.ResponseWriter, r *http.Req
 		// cache for future non-streaming requests.
 		ranked := []coursenav.Path{}
 		sum, complete := s.streamPaths(w, r, &req, func(ctx context.Context, fn func(coursenav.StreamedPath) error) (coursenav.Summary, error) {
-			collect := func(p coursenav.StreamedPath) error {
+			return nav.Stream(ctx, s.exploreQuery(&req, goal), func(p coursenav.StreamedPath) error {
 				if err := fn(p); err != nil {
 					return err
 				}
 				ranked = append(ranked, p.Path)
 				return nil
-			}
-			if len(req.Weights) > 0 {
-				return nav.TopKWeightedStream(ctx, s.query(req.Query, req.Budget), goal, req.Weights, req.K, collect)
-			}
-			return nav.TopKStream(ctx, s.query(req.Query, req.Budget), goal, req.Ranking, req.K, collect)
+			})
 		})
 		if complete {
 			k.put(jsonRun(req.Query, rankedResponse{Summary: toSummaryBody(sum), Paths: ranked}, int64(len(ranked)), ""))
@@ -1040,14 +1028,7 @@ func (s *Server) handleRanked(t *tenantState, w http.ResponseWriter, r *http.Req
 		if err != nil {
 			return unitRun{}, err
 		}
-		q := s.query(req.Query, req.Budget)
-		var paths []coursenav.Path
-		var sum coursenav.Summary
-		if len(req.Weights) > 0 {
-			paths, sum, err = nav.TopKWeightedCtx(ctx, q, goal, req.Weights, req.K)
-		} else {
-			paths, sum, err = nav.TopKCtx(ctx, q, goal, req.Ranking, req.K)
-		}
+		paths, sum, err := nav.Ranked(ctx, s.exploreQuery(&req, goal))
 		if err != nil {
 			return unitRun{}, err
 		}
@@ -1099,7 +1080,7 @@ type whatIfResponse struct {
 // (cohort.go) share it, so a cohort-of-1 replan is byte-identical to
 // the interactive response.
 func (s *Server) whatIfRun(ctx context.Context, nav *coursenav.Navigator, goal coursenav.Goal, req *ExploreRequest) (unitRun, error) {
-	impacts, stopped, err := nav.CompareSelectionsCtx(ctx, s.query(req.Query, req.Budget), goal)
+	impacts, stopped, err := nav.WhatIf(ctx, s.exploreQuery(req, goal))
 	if err != nil {
 		return unitRun{}, err
 	}
@@ -1111,7 +1092,7 @@ func (s *Server) handleWhatIf(t *tenantState, w http.ResponseWriter, r *http.Req
 	if !decode(w, r, &req) {
 		return
 	}
-	if !req.checkExtras(w, "explore/whatif", true, false) {
+	if !req.checkExtras(w, "whatif", true, false) {
 		return
 	}
 	gen := t.gen()

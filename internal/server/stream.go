@@ -187,7 +187,7 @@ func (s *Server) streamWhatIf(w http.ResponseWriter, r *http.Request, req *Explo
 	defer cancel()
 	sw := s.newStreamWriter(w)
 	var n int64
-	stopped, err := nav.WhatIfStream(ctx, s.query(req.Query, req.Budget), goal, func(im coursenav.SelectionImpact) error {
+	stopped, err := nav.WhatIfStream(ctx, s.exploreQuery(req, goal), func(im coursenav.SelectionImpact) error {
 		if err := sw.record(selectionRecord{Selection: im}); err != nil {
 			return err
 		}

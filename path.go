@@ -57,12 +57,12 @@ type Selection struct {
 
 // Path is one learning path for presentation: consecutive semester
 // selections from the start status, with the ranking cost/value when the
-// path came from TopK.
+// path came from a ranked query.
 type Path struct {
 	Semesters []Selection `json:"semesters"`
 	// Cost is the accumulated ranking cost (lower is better); Value is the
 	// user-facing figure (semesters, hours, probability). Both are zero
-	// for paths not produced by TopK.
+	// for paths not produced by a ranked query.
 	Cost  float64 `json:"cost,omitempty"`
 	Value float64 `json:"value,omitempty"`
 }

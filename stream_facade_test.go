@@ -19,14 +19,14 @@ func pathStrings(paths []Path) []string {
 
 // TestGoalStreamMatchesMaterialized: through the public façade, the
 // streamed path multiset and tallies are identical to the materialised
-// GoalPaths run of the same query.
+// Collect run of the same goal query.
 func TestGoalStreamMatchesMaterialized(t *testing.T) {
 	nav, major := Brandeis()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
 
 	var streamed []Path
 	var goalFlagged int64
-	sum, err := nav.GoalStream(context.Background(), q, major, func(p StreamedPath) error {
+	sum, err := nav.Stream(context.Background(), q, func(p StreamedPath) error {
 		streamed = append(streamed, p.Path)
 		if p.Goal {
 			goalFlagged++
@@ -37,7 +37,7 @@ func TestGoalStreamMatchesMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, matSum, err := nav.GoalPaths(q, major)
+	g, matSum, err := nav.Collect(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,13 @@ func TestGoalStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestDeadlineStreamMatchesMaterialized is the goal-free analogue.
+// TestDeadlineStreamMatchesMaterialized is the goal-free analogue: a
+// deadline query's Stream against its Collect.
 func TestDeadlineStreamMatchesMaterialized(t *testing.T) {
 	nav, _ := Brandeis()
 	q := Query{Start: "Spring 2015", End: "Fall 2015", MaxPerTerm: 2}
 	var streamed []Path
-	sum, err := nav.DeadlineStream(context.Background(), q, func(p StreamedPath) error {
+	sum, err := nav.Stream(context.Background(), q, func(p StreamedPath) error {
 		if p.Goal {
 			t.Error("deadline stream delivered a goal-flagged path")
 		}
@@ -78,7 +79,7 @@ func TestDeadlineStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, matSum, err := nav.Deadline(q)
+	g, matSum, err := nav.Collect(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +99,9 @@ func TestDeadlineStreamMatchesMaterialized(t *testing.T) {
 // Stopped == "sink" and exactly the delivered prefix counted.
 func TestStreamStopEarly(t *testing.T) {
 	nav, major := Brandeis()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
 	var n int64
-	sum, err := nav.GoalStream(context.Background(), q, major, func(StreamedPath) error {
+	sum, err := nav.Stream(context.Background(), q, func(StreamedPath) error {
 		n++
 		if n == 5 {
 			return ErrStopStream
@@ -121,47 +122,65 @@ func TestStreamStopEarly(t *testing.T) {
 	}
 }
 
-// TestStreamArgumentErrors: the façade rejects stream misuse up front.
+// TestStreamArgumentErrors: the façade rejects stream misuse up front,
+// before any engine work.
 func TestStreamArgumentErrors(t *testing.T) {
 	nav, major := Brandeis()
 	ctx := context.Background()
 	q := Query{Start: "Fall 2013", End: "Spring 2014", MaxPerTerm: 2}
-	if _, err := nav.GoalStream(ctx, q, major, nil); err == nil {
-		t.Error("nil callback accepted")
+	goalQ := q
+	goalQ.Goal = major
+	ranked := goalQ
+	ranked.Ranking, ranked.K = "time", 1
+	nop := func(StreamedPath) error { return nil }
+	for name, q := range map[string]Query{"deadline": q, "goal": goalQ, "ranked": ranked} {
+		if _, err := nav.Stream(ctx, q, nil); err == nil {
+			t.Errorf("nil callback accepted by Stream on a %s query", name)
+		}
 	}
-	if _, err := nav.DeadlineStream(ctx, q, nil); err == nil {
-		t.Error("nil callback accepted by DeadlineStream")
+	if _, _, err := nav.StreamCollect(ctx, goalQ, nil); err == nil {
+		t.Error("nil callback accepted by StreamCollect")
 	}
-	if _, err := nav.GoalStream(ctx, q, Goal{}, func(StreamedPath) error { return nil }); err == nil {
-		t.Error("missing goal accepted")
+	if _, err := nav.WhatIfStream(ctx, goalQ, nil); err == nil {
+		t.Error("nil callback accepted by WhatIfStream")
 	}
-	merged := q
+	merged := goalQ
 	merged.MergeStatuses = true
 	merged.Substrate = "tree"
-	if _, err := nav.GoalStream(ctx, merged, major, func(StreamedPath) error { return nil }); !errors.Is(err, ErrMergedStreamUnsupported) {
+	if _, err := nav.Stream(ctx, merged, nop); !errors.Is(err, ErrMergedStreamUnsupported) {
 		t.Errorf("MergeStatuses on the tree substrate: err = %v, want ErrMergedStreamUnsupported", err)
 	}
 	badSub := q
 	badSub.Substrate = "quantum"
-	if _, err := nav.DeadlineStream(ctx, badSub, func(StreamedPath) error { return nil }); err == nil {
+	if _, err := nav.Stream(ctx, badSub, nop); err == nil {
 		t.Error("unknown substrate accepted")
 	}
-	if _, err := nav.TopKStream(ctx, q, major, "time", 1, nil); err == nil {
-		t.Error("nil callback accepted by TopKStream")
+	noGoal := ranked
+	noGoal.Goal = Goal{}
+	if sum, err := nav.Stream(ctx, noGoal, nop); err == nil || sum.Nodes != 0 {
+		t.Errorf("ranked stream without a goal: err = %v, summary %+v", err, sum)
 	}
-	if _, err := nav.WhatIfStream(ctx, q, major, nil); err == nil {
-		t.Error("nil callback accepted by WhatIfStream")
+	if g, sum, err := nav.StreamCollect(ctx, ranked, nop); err == nil || g != nil || sum.Nodes != 0 {
+		t.Errorf("StreamCollect on a ranked query: err = %v, summary %+v", err, sum)
+	}
+	if _, err := nav.WhatIfStream(ctx, ranked, func(SelectionImpact) error { return nil }); err == nil {
+		t.Error("WhatIfStream accepted a ranked query")
+	}
+	horizon := goalQ
+	horizon.Horizon = 1
+	if _, err := nav.Stream(ctx, horizon, nop); err == nil {
+		t.Error("Stream accepted a Horizon")
 	}
 }
 
-// TestGoalPathSeq: the range-over-func adapter yields the same paths as
-// the callback stream, and breaking the loop stops the engine cleanly.
+// TestGoalPathSeq: the range-over-func adapter (Seq) over a goal query
+// yields the same paths as the callback stream, and breaking the loop stops the engine cleanly.
 func TestGoalPathSeq(t *testing.T) {
 	nav, major := Brandeis()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
 
 	var viaCallback []string
-	if _, err := nav.GoalStream(context.Background(), q, major, func(p StreamedPath) error {
+	if _, err := nav.Stream(context.Background(), q, func(p StreamedPath) error {
 		viaCallback = append(viaCallback, p.Path.String())
 		return nil
 	}); err != nil {
@@ -169,7 +188,7 @@ func TestGoalPathSeq(t *testing.T) {
 	}
 
 	var viaSeq []string
-	for p, err := range nav.GoalPathSeq(context.Background(), q, major) {
+	for p, err := range nav.Seq(context.Background(), q) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +205,7 @@ func TestGoalPathSeq(t *testing.T) {
 
 	// Early break: exactly the prefix is observed, no error is yielded.
 	seen := 0
-	for _, err := range nav.GoalPathSeq(context.Background(), q, major) {
+	for _, err := range nav.Seq(context.Background(), q) {
 		if err != nil {
 			t.Fatalf("break path yielded error: %v", err)
 		}
@@ -201,7 +220,7 @@ func TestGoalPathSeq(t *testing.T) {
 
 	// A run error surfaces as the final yielded pair.
 	var errs []error
-	for _, err := range nav.GoalPathSeq(context.Background(), Query{Start: "nope"}, major) {
+	for _, err := range nav.Seq(context.Background(), Query{Start: "nope", Goal: major}) {
 		errs = append(errs, err)
 	}
 	if len(errs) != 1 || errs[0] == nil {
@@ -209,16 +228,17 @@ func TestGoalPathSeq(t *testing.T) {
 	}
 }
 
-// TestTopKPathSeq: rank order via the iterator matches TopK.
+// TestTopKPathSeq: rank order via the iterator over a ranked query
+// matches Ranked.
 func TestTopKPathSeq(t *testing.T) {
 	nav, major := Brandeis()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
-	paths, _, err := nav.TopK(q, major, "time", 3)
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major, Ranking: "time", K: 3}
+	paths, _, err := nav.Ranked(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	for p, err := range nav.TopKPathSeq(context.Background(), q, major, "time", 3) {
+	for p, err := range nav.Seq(context.Background(), q) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +246,7 @@ func TestTopKPathSeq(t *testing.T) {
 			t.Fatalf("seq yielded more than the %d materialised paths", len(paths))
 		}
 		if p.Path.String() != paths[i].String() || p.Cost != paths[i].Cost {
-			t.Errorf("path %d diverges from TopK", i)
+			t.Errorf("path %d diverges from Ranked", i)
 		}
 		if !p.Goal {
 			t.Errorf("ranked path %d not goal-flagged", i)
@@ -234,17 +254,18 @@ func TestTopKPathSeq(t *testing.T) {
 		i++
 	}
 	if i != len(paths) {
-		t.Errorf("seq yielded %d paths, TopK returned %d", i, len(paths))
+		t.Errorf("seq yielded %d paths, Ranked returned %d", i, len(paths))
 	}
 }
 
 // TestWhatIfStreamFacade: streamed selection impacts carry the same
-// tallies as the sorted CompareSelections result.
+// tallies as the sorted WhatIf result.
 func TestWhatIfStreamFacade(t *testing.T) {
 	nav, major := Brandeis()
 	q := Query{
 		Completed: []string{"COSI 11A", "COSI 29A"},
 		Start:     "Spring 2014", End: "Spring 2015", MaxPerTerm: 2,
+		Goal: major,
 	}
 	tally := func(im SelectionImpact) string {
 		s := ""
@@ -254,7 +275,7 @@ func TestWhatIfStreamFacade(t *testing.T) {
 		return s
 	}
 	streamed := map[string]SelectionImpact{}
-	stopped, err := nav.WhatIfStream(context.Background(), q, major, func(im SelectionImpact) error {
+	stopped, err := nav.WhatIfStream(context.Background(), q, func(im SelectionImpact) error {
 		streamed[tally(im)] = im
 		return nil
 	})
@@ -264,7 +285,7 @@ func TestWhatIfStreamFacade(t *testing.T) {
 	if stopped != "" {
 		t.Errorf("stopped = %q for a complete run", stopped)
 	}
-	impacts, err := nav.CompareSelections(q, major)
+	impacts, _, err := nav.WhatIf(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +313,7 @@ func TestStreamCancellation(t *testing.T) {
 	defer cancel()
 	var n, late int64
 	canceled := false
-	sum, err := nav.GoalStream(ctx, Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}, major,
+	sum, err := nav.Stream(ctx, Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major},
 		func(StreamedPath) error {
 			if canceled {
 				late++
@@ -322,10 +343,10 @@ func TestStreamCancellation(t *testing.T) {
 func TestStreamMergedDAG(t *testing.T) {
 	nav, major := Brandeis()
 	ctx := context.Background()
-	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3}
+	q := Query{Start: "Fall 2013", End: "Fall 2015", MaxPerTerm: 3, Goal: major}
 
 	var plain []string
-	if _, err := nav.GoalStream(ctx, q, major, func(p StreamedPath) error {
+	if _, err := nav.Stream(ctx, q, func(p StreamedPath) error {
 		plain = append(plain, p.Path.String())
 		return nil
 	}); err != nil {
@@ -335,7 +356,7 @@ func TestStreamMergedDAG(t *testing.T) {
 	merged := q
 	merged.MergeStatuses = true
 	var unfolded []string
-	sum, err := nav.GoalStream(ctx, merged, major, func(p StreamedPath) error {
+	sum, err := nav.Stream(ctx, merged, func(p StreamedPath) error {
 		unfolded = append(unfolded, p.Path.String())
 		return nil
 	})
@@ -356,9 +377,9 @@ func TestStreamMergedDAG(t *testing.T) {
 
 	// Forcing the DAG without MergeStatuses unfolds too.
 	forced := q
-	forced.Substrate = "dag"
+	forced.Substrate, forced.Goal = "dag", Goal{}
 	var n int
-	if _, err := nav.DeadlineStream(ctx, forced, func(StreamedPath) error { n++; return nil }); err != nil {
+	if _, err := nav.Stream(ctx, forced, func(StreamedPath) error { n++; return nil }); err != nil {
 		t.Fatalf("forced dag stream: %v", err)
 	}
 	if n == 0 {
@@ -367,10 +388,11 @@ func TestStreamMergedDAG(t *testing.T) {
 
 	// Collected streams need per-path node identity: typed rejection.
 	nop := func(StreamedPath) error { return nil }
-	if _, _, err := nav.GoalStreamCollect(ctx, merged, major, 0, nop); !errors.Is(err, ErrMergedStreamUnsupported) {
-		t.Errorf("GoalStreamCollect merged: err = %v, want ErrMergedStreamUnsupported", err)
-	}
-	if _, _, err := nav.DeadlineStreamCollect(ctx, merged, 0, nop); !errors.Is(err, ErrMergedStreamUnsupported) {
-		t.Errorf("DeadlineStreamCollect merged: err = %v, want ErrMergedStreamUnsupported", err)
+	mergedDeadline := merged
+	mergedDeadline.Goal = Goal{}
+	for _, q := range []Query{merged, mergedDeadline} {
+		if _, _, err := nav.StreamCollect(ctx, q, nop); !errors.Is(err, ErrMergedStreamUnsupported) {
+			t.Errorf("StreamCollect merged (goal %s): err = %v, want ErrMergedStreamUnsupported", q.Goal, err)
+		}
 	}
 }
